@@ -27,6 +27,8 @@ def _plan(text: str) -> tuple[float, ...]:
 
 
 def _pair(text: str):
+    if text.lower() == "none":
+        return None
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("start pair must look like re8:re8")
@@ -110,6 +112,7 @@ def _cmd_generate(args) -> int:
 
 
 def _write_trace(path, args, result, net_hashes) -> None:
+    start = "none" if args.start is None else f"{args.start[0]}:{args.start[1]}"
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={args.seed} mode={args.mode} "
                  f"cm_weight={args.cm_weight} length={args.length} "
@@ -117,7 +120,7 @@ def _write_trace(path, args, result, net_hashes) -> None:
                  f"finalis={not args.no_finalis} "
                  f"plan1={','.join(map(str, args.plan1))} "
                  f"plan2={','.join(map(str, args.plan2))} "
-                 f"start={args.start[0]}:{args.start[1]} "
+                 f"start={start} "
                  f"netA={net_hashes[0]} netB={net_hashes[1]}\n")
         writer = csv.writer(fh)
         writer.writerow(["step", "weight", "voice1", "voice2", "utility",

@@ -22,7 +22,7 @@ from .negotiation import (
     negotiate,
     system_utility,
 )
-from .rules import DuetState, legal_pairs
+from .rules import DuetState, check_pair, legal_bits
 from .seqnet import SequentialNet, encode_note, forward, map_to_gamut, step_state
 
 __all__ = ["CompositionConfig", "StepTrace", "CompositionResult",
@@ -40,7 +40,7 @@ def _feedback_code(note: Pitch, prev: Pitch | None) -> np.ndarray:
     return encode_note(note, prev)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositionConfig:
     length: int = 8
     plan1: tuple = (0.8, 0.0, 0.8, 0.0)
@@ -77,8 +77,11 @@ class CompositionResult:
 
     @property
     def voices(self) -> tuple[tuple[Pitch, ...], tuple[Pitch, ...]]:
-        return (tuple(p[0] for p in self.pairs),
-                tuple(p[1] for p in self.pairs))
+        # From lists, not generators: CPython sizes a tuple built from a
+        # generator by guess and then resizes it, so each call would move
+        # memory into the free list of another tuple size.
+        return (tuple([p[0] for p in self.pairs]),
+                tuple([p[1] for p in self.pairs]))
 
 
 def draw_step_weight(rng: np.random.Generator,
@@ -96,11 +99,15 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     In agent-only mode both activation vectors are zero and the nets may
     be None; otherwise each agent runs its own net and feeds back the
     encoded note of every agreement.  Output is fully determined by
-    (nets, cfg): the only randomness is the seeded coin toss.
+    (nets, cfg): the only randomness is the seeded coin toss.  A start
+    pair that breaks a rule at the opening raises ValueError.
     """
     if not cfg.agent_only and (net1 is None or net2 is None):
         raise ValueError("both nets are required unless agent_only is set")
-    rng = np.random.default_rng(cfg.seed)
+    # Only the coin toss draws from the generator, so a fixed weight skips
+    # building one.
+    coin_toss = cfg.weights.mode == "coin_toss"
+    rng = np.random.default_rng(cfg.seed) if coin_toss else None
     zero = np.zeros(len(GAMUT))
     agents = []
     for net, plan in ((net1, cfg.plan1), (net2, cfg.plan2)):
@@ -112,9 +119,14 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
         })
 
     state = DuetState(length=cfg.length, finalis=cfg.finalis)
+    if cfg.start_pair is not None:
+        verdict = check_pair(state, cfg.start_pair)
+        if not verdict.legal:
+            a, b = cfg.start_pair
+            raise ValueError(f"start pair {a}:{b} breaks {verdict}")
     trace: list[StepTrace] = []
     for t in range(cfg.length):
-        if cfg.weights.mode == "coin_toss":
+        if coin_toss:
             w = draw_step_weight(rng, cfg.weights)
         else:
             w = cfg.weights.cm_weight
@@ -139,7 +151,7 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
             pair, utility = outcome.pair, outcome.utility
 
         trace.append(StepTrace(step=t, weight=w, pair=pair, utility=utility,
-                               legal_count=len(legal_pairs(state))))
+                               legal_count=legal_bits(state).bit_count()))
         state = state.append(pair)
         for agent, note in zip(agents, pair):
             if not cfg.agent_only:

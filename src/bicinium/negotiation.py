@@ -6,20 +6,22 @@ The joint utility of a candidate pair is
     (act1[T1] * act2[T2] + w * cm(prev, pair)) * match(pair)
 
 where cm rewards contrary motion (larger for smaller interval change) and
-match zeroes out anything the rulebook rejects.  Negotiation is an
-exhaustive exchange: every one of the 13x13 combinations is scored and
-the maximal legal pair wins, ties broken toward lower voice-1 index, then
-lower voice-2 index.
+match zeroes out anything the rulebook rejects.  Negotiation scores every
+legal one of the 13x13 combinations, read off the rulebook's legality
+mask, and the maximal pair wins, ties broken toward lower voice-1 index,
+then lower voice-2 index.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gamut import GAMUT, Motion, NotePair, motion, signed_interval
-from .rules import DuetState, check_pair
+from .rules import DuetState, legal_bits, pair_bit
 
 __all__ = ["UtilityWeights", "Agreement", "DeadEnd", "COIN_VALUES",
            "contrary_motion_bonus", "system_utility", "negotiate"]
@@ -37,8 +39,9 @@ class UtilityWeights:
     def __post_init__(self):
         if self.mode not in ("deterministic", "coin_toss"):
             raise ValueError(f"unknown utility mode {self.mode!r}")
-        if self.cm_weight <= 0:
-            raise ValueError("cm_weight must be positive")
+        if not (0 < self.cm_weight < math.inf):
+            raise ValueError(
+                f"cm_weight must be positive and finite, got {self.cm_weight}")
 
 
 @dataclass(frozen=True)
@@ -66,51 +69,71 @@ def contrary_motion_bonus(prev: NotePair, cur: NotePair) -> float:
     return 1.0 / delta if delta else 0.0
 
 
-def _as_activations(act) -> np.ndarray:
+def _as_activations(act) -> list[float]:
     act = np.asarray(act, dtype=float)
     if act.shape != (13,):
         raise ValueError(f"activation vector must have shape (13,), got {act.shape}")
-    if not np.all(np.isfinite(act)) or np.any(act < 0):
+    values = act.tolist()
+    if not all(0.0 <= v < math.inf for v in values):
         raise ValueError("activations must be finite and non-negative")
-    return act
+    return values
+
+
+# Contrary-motion bonus of every candidate by previous pair (indexed by
+# pair_bit), built the first time that pair is seen.
+_BONUS_ROWS: list[array | None] = [None] * len(GAMUT) ** 2
+
+
+def _bonus_row(prev: NotePair) -> array:
+    k = pair_bit(prev)
+    row = _BONUS_ROWS[k]
+    if row is None:
+        row = _BONUS_ROWS[k] = array("d", [
+            contrary_motion_bonus(prev, (a, b)) for a in GAMUT for b in GAMUT])
+    return row
 
 
 def system_utility(state: DuetState, pair: NotePair, act1, act2,
                    cm_weight: float = 1.0) -> float:
     """Joint utility of a candidate pair; exactly 0 for illegal pairs."""
-    if not check_pair(state, pair).legal:
+    k = pair_bit(pair)
+    if not legal_bits(state) >> k & 1:
         return 0.0
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
-    score = float(act1[pair[0].index] * act2[pair[1].index])
+    score = act1[pair[0].index] * act2[pair[1].index]
     if state.history:
-        score += cm_weight * contrary_motion_bonus(state.history[-1], pair)
+        score += cm_weight * _bonus_row(state.history[-1])[k]
     return score
 
 
 def negotiate(state: DuetState, act1, act2,
               cm_weight: float = 1.0) -> Agreement | DeadEnd:
-    """Exhaustive scan of all 169 pairs for the legal utility maximum.
+    """The legal pair of maximal utility, or a dead end if none is legal.
 
-    The scan runs voice-1 index ascending then voice-2 index ascending and
-    replaces the incumbent only on strict improvement, so the first pair
-    reaching the maximal utility wins ties.
+    Only the legal pairs are scored, in ascending bit order (voice-1
+    index, then voice-2 index), and the incumbent is replaced only on
+    strict improvement, so the first pair reaching the maximal utility
+    wins ties.
     """
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
-    prev = state.history[-1] if state.history else None
-    best: NotePair | None = None
+    bits = legal_bits(state)
+    row = _bonus_row(state.history[-1]) if state.history else None
+    n = len(GAMUT)
+    best = -1
     best_utility = -1.0
-    for a in GAMUT:
-        for b in GAMUT:
-            if not check_pair(state, (a, b)).legal:
-                continue
-            score = float(act1[a.index] * act2[b.index])
-            if prev is not None:
-                score += cm_weight * contrary_motion_bonus(prev, (a, b))
-            if score > best_utility:
-                best = (a, b)
-                best_utility = score
-    if best is None:
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        k = low.bit_length() - 1
+        score = act1[k // n] * act2[k % n]
+        if row is not None:
+            score += cm_weight * row[k]
+        if score > best_utility:
+            best = k
+            best_utility = score
+    if best < 0:
         return DeadEnd(step=state.position)
-    return Agreement(pair=best, utility=best_utility)
+    return Agreement(pair=(GAMUT[best // n], GAMUT[best % n]),
+                     utility=best_utility)

@@ -18,11 +18,20 @@ composition so far and reports which of the numbered rules it breaks:
  9. no voice repeats its previous tone
 10. at most two perfect consonances in the interior
 11. (finalis, configurable) both final tones on the re degree
+
+Each rule is a mask over the 169 candidate pairs: a plain ``int`` whose
+bit k stands for the pair (GAMUT[k // 13], GAMUT[k % 13]), so ascending
+bit order is the voice-1-then-voice-2 scan order.  The masks of rules 1,
+2, 3, 6, 7, 10 and 11 depend on the candidate alone and are built at
+import; those of rules 4, 5, 8 and 9 also depend on the previous pair and
+are built the first time that pair is seen.  The state picks the masks
+that apply at the next position: ``legal_bits`` clears them all and
+``check_pair`` names those that hold the candidate's bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .gamut import (
     GAMUT,
@@ -35,8 +44,8 @@ from .gamut import (
     signed_interval,
 )
 
-__all__ = ["DuetState", "RuleVerdict", "check_pair", "legal_pairs",
-           "validate_duet", "DuetReport"]
+__all__ = ["DuetState", "RuleVerdict", "check_pair", "legal_bits",
+           "legal_pairs", "pair_bit", "validate_duet", "DuetReport"]
 
 THIRDS_FAMILY = frozenset({2, 9})
 SIXTHS_FAMILY = frozenset({5, 12})
@@ -102,12 +111,11 @@ class DuetState:
             run = (fam, 1)
         else:
             run = (0, 0)
-        perfect = interval_quality(*pair) is IntervalQuality.PERFECT_CONSONANT
         interior = self.interior_perfect_count
-        if perfect and 0 < t < self.length - 1:
+        if _perfect(pair) and 0 < t < self.length - 1:
             interior += 1
-        return replace(self, history=self.history + (pair,),
-                       imperfect_run=run, interior_perfect_count=interior)
+        return DuetState(self.length, self.history + (pair,), self.finalis,
+                         run, interior)
 
     @classmethod
     def from_history(cls, length: int, history: tuple[NotePair, ...] = (),
@@ -118,57 +126,114 @@ class DuetState:
         return state
 
 
-def check_pair(state: DuetState, pair: NotePair) -> RuleVerdict:
-    """Verdict for appending ``pair`` at the next position of ``state``."""
+def pair_bit(pair: NotePair) -> int:
+    """Bit of ``pair`` in a rule mask: voice-1 index * 13 + voice-2 index."""
+    return pair[0].index * len(GAMUT) + pair[1].index
+
+
+_PAIRS: tuple[NotePair, ...] = tuple((a, b) for a in GAMUT for b in GAMUT)
+_ALL = (1 << len(_PAIRS)) - 1
+
+
+def _mask(holds) -> int:
+    """Mask of the candidate pairs for which ``holds(pair)`` is true."""
+    mask = 0
+    for k, pair in enumerate(_PAIRS):
+        if holds(pair):
+            mask |= 1 << k
+    return mask
+
+
+def _perfect(pair: NotePair) -> bool:
+    return interval_quality(*pair) is IntervalQuality.PERFECT_CONSONANT
+
+
+# Rules that depend on the candidate pair alone.
+_DISSONANT = _mask(
+    lambda p: interval_quality(*p) is IntervalQuality.DISSONANT)       # 1
+_NOT_PERFECT = _mask(lambda p: not _perfect(p))                        # 2
+_UNISON = _mask(lambda p: interval_steps(*p) == 0)                     # 3
+_WIDE = _mask(lambda p: interval_steps(*p) > 9)                        # 6
+_FAMILY = {fam: _mask(lambda p: _family(p) == fam) for fam in (3, 6)}  # 7
+_PERFECT = _mask(_perfect)                                             # 10
+_OFF_FINALIS = _mask(
+    lambda p: not (p[0].degree == 0 and p[1].degree == 0))             # 11
+
+
+def _motion_masks(prev: NotePair) -> tuple[int, int, int, int]:
+    """Masks of rules 4, 5, 8 and 9, which compare the candidate with the
+    previous pair ``prev``."""
+    def leaps(pair):
+        return pair[0].index - prev[0].index, pair[1].index - prev[1].index
+
+    def double_skip(pair):
+        d1, d2 = leaps(pair)
+        return (d1 * d2 > 0 and abs(d1) >= 2 and abs(d2) >= 2
+                and max(abs(d1), abs(d2)) > 3)
+
+    return (
+        _mask(lambda p: _perfect(p) and motion(prev, p) is Motion.SIMILAR),
+        _mask(lambda p: _perfect(p) and interval_steps(*p) in (4, 7, 11)
+              and abs(signed_interval(prev) - signed_interval(p)) != 2),
+        _mask(double_skip),
+        _mask(lambda p: 0 in leaps(p)),
+    )
+
+
+# Rules 4, 5, 8 and 9 by previous pair, built the first time it is seen.
+_MOTION_MASKS: list[tuple[int, int, int, int] | None] = [None] * len(_PAIRS)
+
+
+def _rule_masks(state: DuetState) -> list[tuple[int, int]]:
+    """(rule, mask) of every rule that applies at the next position."""
     t = state.position
     if t >= state.length:
         raise ValueError(f"position {t} beyond duet length {state.length}")
-    n1, n2 = pair
-    steps = interval_steps(n1, n2)
-    quality = interval_quality(n1, n2)
-    perfect = quality is IntervalQuality.PERFECT_CONSONANT
-    first, last = t == 0, t == state.length - 1
-    prev = state.history[-1] if t > 0 else None
+    last = t == state.length - 1
+    masks = [(1, _DISSONANT), (6, _WIDE)]
+    if t == 0 or last:
+        masks.append((2, _NOT_PERFECT))
+    else:
+        masks.append((3, _UNISON))
+        if state.interior_perfect_count >= MAX_INTERIOR_PERFECT:
+            masks.append((10, _PERFECT))
+    if t:
+        prev = state.history[-1]
+        k = pair_bit(prev)
+        motion_masks = _MOTION_MASKS[k]
+        if motion_masks is None:
+            motion_masks = _MOTION_MASKS[k] = _motion_masks(prev)
+        masks.extend(zip((4, 5, 8, 9), motion_masks))
+    fam, run = state.imperfect_run
+    if fam in _FAMILY and run + 1 > MAX_IMPERFECT_RUN:
+        masks.append((7, _FAMILY[fam]))
+    if state.finalis and last:
+        masks.append((11, _OFF_FINALIS))
+    return masks
 
-    violations = set()
-    if quality is IntervalQuality.DISSONANT:
-        violations.add(1)
-    if (first or last) and not perfect:
-        violations.add(2)
-    if steps == 0 and not (first or last):
-        violations.add(3)
-    if perfect and prev is not None and motion(prev, pair) is Motion.SIMILAR:
-        violations.add(4)
-    if (perfect and steps in (4, 7, 11) and prev is not None
-            and abs(signed_interval(prev) - signed_interval(pair)) != 2):
-        violations.add(5)
-    if steps > 9:
-        violations.add(6)
-    fam = _family(pair)
-    if fam and fam == state.imperfect_run[0] \
-            and state.imperfect_run[1] + 1 > MAX_IMPERFECT_RUN:
-        violations.add(7)
-    if prev is not None:
-        d1 = n1.index - prev[0].index
-        d2 = n2.index - prev[1].index
-        if d1 * d2 > 0 and abs(d1) >= 2 and abs(d2) >= 2 \
-                and max(abs(d1), abs(d2)) > 3:
-            violations.add(8)
-        if d1 == 0 or d2 == 0:
-            violations.add(9)
-    if perfect and not (first or last) \
-            and state.interior_perfect_count >= MAX_INTERIOR_PERFECT:
-        violations.add(10)
-    if state.finalis and last and not (n1.degree == 0 and n2.degree == 0):
-        violations.add(11)
-    return RuleVerdict(frozenset(violations))
+
+def legal_bits(state: DuetState) -> int:
+    """The legal pairs at the next position as a 169-bit mask: bit
+    ``pair_bit(pair)`` is set when ``pair`` breaks no rule."""
+    illegal = 0
+    for _, mask in _rule_masks(state):
+        illegal |= mask
+    return _ALL & ~illegal
+
+
+def check_pair(state: DuetState, pair: NotePair) -> RuleVerdict:
+    """Verdict for appending ``pair`` at the next position of ``state``."""
+    masks = _rule_masks(state)
+    k = pair_bit(pair)
+    return RuleVerdict(frozenset(rule for rule, mask in masks
+                                 if mask >> k & 1))
 
 
 def legal_pairs(state: DuetState) -> list[NotePair]:
     """All legal pairs at the next position, in canonical scan order
     (voice-1 index ascending, then voice-2 index ascending)."""
-    return [(a, b) for a in GAMUT for b in GAMUT
-            if check_pair(state, (a, b)).legal]
+    bits = legal_bits(state)
+    return [pair for k, pair in enumerate(_PAIRS) if bits >> k & 1]
 
 
 @dataclass(frozen=True)
@@ -195,8 +260,7 @@ def validate_duet(voice1, voice2, finalis: bool = True) -> DuetReport:
     length = len(voice1)
     state = DuetState(length=length, finalis=finalis)
     verdicts = []
-    pairs = tuple(zip(voice1, voice2))
-    for pair in pairs:
+    for pair in zip(voice1, voice2):
         verdicts.append(check_pair(state, pair))
         state = state.append(pair)
-    return DuetReport(tuple(verdicts), pairs)
+    return DuetReport(tuple(verdicts), state.history)

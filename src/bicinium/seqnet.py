@@ -304,19 +304,46 @@ def save_net(net: SequentialNet, path) -> None:
 
 
 def load_net(path) -> SequentialNet:
-    lines = Path(path).read_text().splitlines()
+    """Read a checkpoint written by ``save_net``.
+
+    Raises ValueError naming the file when it is not a checkpoint, is cut
+    short, or holds an array whose shape disagrees with its header.
+    """
+    text = Path(path).read_text()
+    lines = text.splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a net checkpoint")
-    header = dict(line.split(None, 1) for line in lines[1:5])
-    arrays = {}
-    for i in range(5, len(lines) - 1, 2):
-        name, *shape = lines[i].split()
-        shape = tuple(int(s) for s in shape)
-        values = np.array([float(v) for v in lines[i + 1].split()])
+    if not text.endswith("\n"):  # save_net ends every line, the last too
+        raise ValueError(f"{path}: truncated checkpoint, cut inside a line")
+    try:
+        header = dict(line.split(None, 1) for line in lines[1:5])
+        plan_size = int(header["plan_size"])
+        hidden = int(header["hidden_size"])
+        voices = int(header["voices"])
+        decay = float(header["decay"])
+        arrays = {}
+        for i in range(5, len(lines) - 1, 2):
+            name, *shape = lines[i].split()
+            arrays[name] = (tuple(int(s) for s in shape),
+                            np.array([float(v) for v in lines[i + 1].split()]))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: truncated or malformed checkpoint "
+                         f"({exc!r})") from None
+    out = voices * NOTE_CODE_SIZE
+    expected = {"w1": (hidden, plan_size + out), "b1": (hidden,),
+                "w2": (out, hidden), "b2": (out,)}
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise ValueError(f"{path}: truncated checkpoint, no {name} array")
+        declared, values = arrays[name]
+        if declared != shape:
+            raise ValueError(f"{path}: {name} has shape {declared}, but the "
+                             f"header implies {shape}")
+        if values.size != np.prod(shape):
+            raise ValueError(f"{path}: {name} holds {values.size} values, "
+                             f"shape {shape} needs {np.prod(shape)}")
         arrays[name] = values.reshape(shape)
-    return SequentialNet(plan_size=int(header["plan_size"]),
-                         hidden_size=int(header["hidden_size"]),
-                         voices=int(header["voices"]),
-                         decay=float(header["decay"]),
+    return SequentialNet(plan_size=plan_size, hidden_size=hidden,
+                         voices=voices, decay=decay,
                          w1=arrays["w1"], b1=arrays["b1"],
                          w2=arrays["w2"], b2=arrays["b2"])

@@ -3,7 +3,8 @@ import pytest
 
 from bicinium.composer import CompositionConfig, compose, draw_step_weight
 from bicinium.negotiation import COIN_VALUES, UtilityWeights
-from bicinium.rules import DuetState, validate_duet
+from bicinium.gamut import GAMUT
+from bicinium.rules import DuetState, check_pair, validate_duet
 from bicinium.seqnet import SequentialNet, encode_note, train
 
 from conftest import pitches
@@ -70,6 +71,33 @@ def test_compose_dead_end_is_data(p):
     assert not result.complete
     assert result.dead_end_step == 8
     assert len(result.pairs) == 8
+
+
+def test_compose_rejects_illegal_start_pair(p):
+    cfg = agent_only_cfg(length=2, start_pair=(p("re"), p("mi8")))
+    with pytest.raises(ValueError, match=r"start pair re:mi8 breaks rules 1 2"):
+        compose(None, None, cfg)
+
+
+def test_every_complete_result_validates_whatever_the_start():
+    # each start pair is either rejected at the boundary or opens a run
+    # whose complete results pass validate_duet, at every length
+    opening = DuetState(length=2)
+    starts = [(a, b) for a in GAMUT for b in GAMUT] + [None]
+    legal_starts = 0
+    for start in starts:
+        legal = start is None or check_pair(opening, start).legal
+        legal_starts += legal
+        for length in range(2, 21):
+            cfg = agent_only_cfg(length=length, start_pair=start)
+            if not legal:
+                with pytest.raises(ValueError, match="start pair"):
+                    compose(None, None, cfg)
+                continue
+            result = compose(None, None, cfg)
+            if result.complete:
+                assert validate_duet(*result.voices).legal
+    assert legal_starts == 42
 
 
 def test_compose_feedback_fidelity(p):

@@ -12,6 +12,7 @@ from bicinium.corpus import (
     render_text,
 )
 from bicinium.midi import duet_to_midi_bytes, write_midi
+from bicinium.seqnet import SequentialNet, save_net
 
 from conftest import AGENT_ONLY_DUET, TRAINING_DUET, pitches
 
@@ -194,6 +195,28 @@ def test_cli_compose_writes_midi_and_trace(tmp_path, capsys):
     assert len(lines) == 10
 
 
+def test_cli_compose_start_none_negotiates_the_opening(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert main(["compose", "--agent-only", "--start", "none",
+                 "--trace", str(trace)]) == 0
+    assert " start=none " in trace.read_text().splitlines()[0]
+
+
+def test_cli_compose_rejects_illegal_start(capsys):
+    code = main(["compose", "--agent-only", "--start", "re:mi8",
+                 "--length", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "start pair re:mi8 breaks rules 1 2" in captured.err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_cli_compose_rejects_non_finite_weight(weight, capsys):
+    assert main(["compose", "--agent-only", "--cm-weight", weight]) == 1
+    assert "cm_weight must be positive and finite" in capsys.readouterr().err
+
+
 def test_cli_train_generate_roundtrip(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("re8 la8 sol8 fa8 mi8 re8\n")
@@ -211,6 +234,15 @@ def test_cli_train_generate_roundtrip(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert out == "re8 la8 sol8 fa8 mi8 re8"
+
+
+def test_cli_generate_truncated_checkpoint(tmp_path, capsys):
+    ckpt = tmp_path / "net.txt"
+    save_net(SequentialNet.new(hidden_size=5, seed=3), ckpt)
+    lines = ckpt.read_text().splitlines(keepends=True)
+    ckpt.write_text("".join(lines[:7]))
+    assert main(["generate", "--net", str(ckpt), "--plan", "1,0,0,0"]) == 1
+    assert "net.txt: truncated checkpoint" in capsys.readouterr().err
 
 
 def test_cli_unknown_flag_exits_nonzero(capsys):

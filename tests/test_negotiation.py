@@ -3,6 +3,7 @@ import pytest
 
 from bicinium.gamut import GAMUT, Motion, motion, signed_interval
 from bicinium.negotiation import (
+    COIN_VALUES,
     Agreement,
     DeadEnd,
     UtilityWeights,
@@ -105,6 +106,9 @@ def test_utility_weights_validation():
         UtilityWeights(mode="lottery")
     with pytest.raises(ValueError):
         UtilityWeights(cm_weight=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            UtilityWeights(cm_weight=bad)
 
 
 def test_negotiate_second_pair_zero_activations(p):
@@ -149,6 +153,21 @@ def test_negotiate_matches_brute_force_oracle():
         else:
             assert got.pair == expected_pair
             assert got.utility == pytest.approx(expected_u, abs=1e-12)
+
+
+def test_negotiated_utility_is_system_utility_exactly():
+    rng = np.random.default_rng(77)
+    agreements = 0
+    for _ in range(300):
+        state = random_state(rng)
+        act1 = rng.uniform(0, 1, 13)
+        act2 = rng.uniform(0, 1, 13)
+        w = float(rng.choice(COIN_VALUES + (1.0,)))
+        got = negotiate(state, act1, act2, w)
+        if isinstance(got, Agreement):
+            agreements += 1
+            assert got.utility == system_utility(state, got.pair, act1, act2, w)
+    assert agreements > 250
 
 
 def test_chosen_pair_is_legal_and_dominant():

@@ -8,11 +8,13 @@ from bicinium.gamut import GAMUT, IntervalQuality, interval_quality, interval_st
 from bicinium.rules import (
     DuetState,
     check_pair,
+    legal_bits,
     legal_pairs,
     validate_duet,
 )
 
 from conftest import AGENT_ONLY_DUET, NONDET_DUETS, TRAINING_DUET, pairs, pitches
+from scalar_rules import scalar_violations
 
 gamut_pitch = st.sampled_from(GAMUT)
 note_pair = st.tuples(gamut_pitch, gamut_pitch)
@@ -194,3 +196,31 @@ def test_accepted_duets_satisfy_scannable_rules(state):
                for pr in interior) <= 2
     assert all(interval_steps(*pr) > 0 for pr in interior)
     assert all(interval_steps(*pr) <= 9 for pr in state.history)
+
+
+@st.composite
+def any_states(draw):
+    """States after arbitrary histories, legal or not."""
+    length = draw(st.integers(2, 20))
+    history = tuple(draw(st.lists(note_pair, max_size=length - 1)))
+    return DuetState.from_history(length, history, finalis=draw(st.booleans()))
+
+
+ALL_PAIRS = [(a, b) for a in GAMUT for b in GAMUT]
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_states())
+def test_check_pair_matches_scalar_rules(state):
+    for pair in ALL_PAIRS:
+        assert check_pair(state, pair).violations == \
+            scalar_violations(state, pair), pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_states())
+def test_legal_pairs_matches_brute_force(state):
+    expected = [pair for pair in ALL_PAIRS
+                if not scalar_violations(state, pair)]
+    assert legal_pairs(state) == expected
+    assert legal_bits(state).bit_count() == len(expected)

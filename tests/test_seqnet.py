@@ -237,3 +237,29 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_text("not a checkpoint\n")
     with pytest.raises(ValueError, match="checkpoint"):
         load_net(path)
+
+
+def test_load_rejects_truncated_checkpoint(tmp_path):
+    path = tmp_path / "net.txt"
+    save_net(SequentialNet.new(hidden_size=5, seed=3), path)
+    lines = path.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.txt"
+    for keep in range(1, len(lines)):
+        cut.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError, match="cut.txt: truncated"):
+            load_net(cut)
+    cut.write_text(path.read_text()[:-20])
+    with pytest.raises(ValueError, match="cut.txt: truncated"):
+        load_net(cut)
+
+
+def test_load_rejects_shape_disagreeing_with_header(tmp_path):
+    path = tmp_path / "net.txt"
+    save_net(SequentialNet.new(hidden_size=5, seed=3), path)
+    text = path.read_text()
+    path.write_text(text.replace("hidden_size 5", "hidden_size 6"))
+    with pytest.raises(ValueError, match=r"net.txt: w1 has shape \(5, 23\)"):
+        load_net(path)
+    path.write_text(text.replace("b2 19", "b2 19 1"))
+    with pytest.raises(ValueError, match=r"net.txt: b2 has shape \(19, 1\)"):
+        load_net(path)
