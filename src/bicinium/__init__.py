@@ -16,7 +16,6 @@ from .gamut import (
     interval_quality,
     interval_steps,
     motion,
-    pitch_from_index,
     pitch_from_name,
     signed_interval,
 )

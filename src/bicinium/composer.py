@@ -1,10 +1,13 @@
 """The full composition loop: nets propose, agents negotiate, agreements
 feed back as context.
 
-Per step each agent maps its net output onto the 13-pitch gamut (or a
-zero vector in agent-only mode), the negotiation picks the legal pair of
-maximal utility, and each agent pushes the 19-code of its own agreed note
-into its net state.  Dead ends stop the run; there is no backtracking.
+Per bar each agent runs its net forward and maps the output onto the
+13-pitch gamut through the unit table of its previous note (or offers a
+list of zeros in agent-only mode).  The negotiation picks the legal pair of
+maximal utility from the candidate bits of the bar's legality mask, which
+the state computes once and the trace's legal count reuses.  Each agent
+then pushes the 19-code of its own agreed note, read from a table, into
+its net state.  Dead ends stop the run; there is no backtracking.
 """
 
 from __future__ import annotations
@@ -31,13 +34,31 @@ __all__ = ["CompositionConfig", "StepTrace", "CompositionResult",
 _DEFAULT_START = (pitch_from_name("re8"), pitch_from_name("re8"))
 
 
+# Read-only 19-codes fed back for an agreed note, by the previous note's
+# index (slot 13: no previous note) and then the note's index.  A row is
+# built the first time its previous note is seen.
+_FEEDBACK_CODES: list[tuple[np.ndarray, ...] | None] = [None] * 14
+
+
 def _feedback_code(note: Pitch, prev: Pitch | None) -> np.ndarray:
+    slot = 13 if prev is None else prev.index
+    row = _FEEDBACK_CODES[slot]
+    if row is None:
+        row = _FEEDBACK_CODES[slot] = tuple(_code(p, prev) for p in GAMUT)
+    return row[note.index]
+
+
+def _code(note: Pitch, prev: Pitch | None) -> np.ndarray:
     # The rules cap simultaneous intervals, not melodic leaps, so an agreed
-    # note can sit more than 8 steps from its predecessor; the 19-code has
-    # no interval unit for that, so fall back to the bare pitch code.
-    if prev is not None and abs(note.index - prev.index) > 8:
-        return encode_note(note, None)
-    return encode_note(note, prev)
+    # note can sit more than 8 steps from its predecessor.  The 19-code has
+    # no interval unit for that, so encode_note refuses it and the bare
+    # pitch code stands in.
+    try:
+        code = encode_note(note, prev)
+    except ValueError:
+        code = encode_note(note)
+    code.flags.writeable = False
+    return code
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,15 +129,15 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     # building one.
     coin_toss = cfg.weights.mode == "coin_toss"
     rng = np.random.default_rng(cfg.seed) if coin_toss else None
-    zero = np.zeros(len(GAMUT))
-    agents = []
-    for net, plan in ((net1, cfg.plan1), (net2, cfg.plan2)):
-        agents.append({
-            "net": net,
-            "plan": np.asarray(plan, dtype=float),
-            "state": None if cfg.agent_only else net.fresh_state(),
-            "prev": None,
-        })
+    nets = (net1, net2)
+    plans = (np.asarray(cfg.plan1, dtype=float),
+             np.asarray(cfg.plan2, dtype=float))
+    if cfg.agent_only:
+        # A list, not an ndarray: negotiation takes a list of floats as is.
+        zero = [0.0] * len(GAMUT)
+    else:
+        net_states = [net1.fresh_state(), net2.fresh_state()]
+    prevs: list[Pitch | None] = [None, None]
 
     state = DuetState(length=cfg.length, finalis=cfg.finalis)
     if cfg.start_pair is not None:
@@ -131,13 +152,11 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
         else:
             w = cfg.weights.cm_weight
 
-        acts = []
-        for agent in agents:
-            if cfg.agent_only:
-                acts.append(zero)
-            else:
-                out = forward(agent["net"], agent["plan"], agent["state"])
-                acts.append(map_to_gamut(out, agent["prev"]))
+        if cfg.agent_only:
+            acts = (zero, zero)
+        else:
+            acts = [map_to_gamut(forward(nets[v], plans[v], net_states[v]),
+                                 prevs[v]) for v in (0, 1)]
 
         if t == 0 and cfg.start_pair is not None:
             pair = cfg.start_pair
@@ -150,13 +169,14 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
                                          dead_end_step=t)
             pair, utility = outcome.pair, outcome.utility
 
+        # legal_bits is computed once per state: negotiation already read it.
         trace.append(StepTrace(step=t, weight=w, pair=pair, utility=utility,
                                legal_count=legal_bits(state).bit_count()))
         state = state.append(pair)
-        for agent, note in zip(agents, pair):
+        for v, note in enumerate(pair):
             if not cfg.agent_only:
-                code = _feedback_code(note, agent["prev"])
-                agent["state"] = step_state(agent["state"], code)
-            agent["prev"] = note
+                net_states[v] = step_state(net_states[v],
+                                           _feedback_code(note, prevs[v]))
+            prevs[v] = note
 
     return CompositionResult(pairs=state.history, trace=tuple(trace))

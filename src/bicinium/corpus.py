@@ -40,7 +40,7 @@ class CorpusError(ValueError):
 
 def _parse_tokens(text: str, lineno: int) -> tuple[Pitch, ...]:
     try:
-        return tuple(pitch_from_name(tok) for tok in text.split())
+        return tuple([pitch_from_name(tok) for tok in text.split()])
     except ValueError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from None
 
@@ -69,7 +69,8 @@ def parse_corpus(text: str) -> Corpus:
         if lines[0][1].lower().startswith("label:"):
             lineno, line = lines.pop(0)
             try:
-                label = tuple(float(v) for v in line.split(":", 1)[1].split())
+                values = line.split(":", 1)[1].split()
+                label = tuple([float(v) for v in values])
             except ValueError:
                 raise CorpusError(f"line {lineno}: bad label values") from None
         if not lines:
@@ -108,7 +109,7 @@ def parse_corpus(text: str) -> Corpus:
     filled = []
     for i, (label, voices) in enumerate(melodies):
         if label is None:
-            label = tuple(1.0 if j == i else 0.0 for j in range(PLAN_SIZE))
+            label = tuple([1.0 if j == i else 0.0 for j in range(PLAN_SIZE)])
         filled.append((label, voices))
     if len({label for label, _ in filled}) != len(filled):
         raise CorpusError("duplicate melody labels")
@@ -134,8 +135,9 @@ def parse_duet_text(text: str):
     if len(lines) != 2 or not lines[0].lower().startswith("v1:") \
             or not lines[1].lower().startswith("v2:"):
         raise ValueError("duet text must be exactly a V1: line and a V2: line")
-    v1 = tuple(pitch_from_name(t) for t in lines[0][3:].split())
-    v2 = tuple(pitch_from_name(t) for t in lines[1][3:].split())
+    # Tuples from lists, not generators: see CompositionResult.voices.
+    v1 = tuple([pitch_from_name(t) for t in lines[0][3:].split()])
+    v2 = tuple([pitch_from_name(t) for t in lines[1][3:].split()])
     if len(v1) != len(v2):
         raise ValueError(f"voices differ in length: {len(v1)} vs {len(v2)}")
     return v1, v2

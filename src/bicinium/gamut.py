@@ -17,7 +17,6 @@ __all__ = [
     "Motion",
     "GAMUT",
     "pitch_from_name",
-    "pitch_from_index",
     "interval_steps",
     "signed_interval",
     "interval_semitones",
@@ -78,12 +77,6 @@ def pitch_from_name(name: str) -> Pitch:
     if pitch is None:
         raise ValueError(f"unknown pitch token {name!r}")
     return pitch
-
-
-def pitch_from_index(index: int) -> Pitch:
-    if not 0 <= index <= 12:
-        raise ValueError(f"pitch index {index} outside gamut 0..12")
-    return GAMUT[index]
 
 
 def interval_steps(a: Pitch, b: Pitch) -> int:

@@ -70,6 +70,18 @@ def contrary_motion_bonus(prev: NotePair, cur: NotePair) -> float:
 
 
 def _as_activations(act) -> list[float]:
+    # Fast path: a float64 ndarray or a list of floats whose sum is finite
+    # (so no NaN or infinity) and whose minimum is non-negative.
+    if (type(act) is np.ndarray and act.dtype == np.float64
+            and act.shape == (13,)):
+        values = act.tolist()
+    elif (type(act) is list and len(act) == 13
+            and set(map(type, act)) == {float}):
+        values = act
+    else:
+        values = None
+    if values is not None and 0.0 <= min(values) and sum(values) < math.inf:
+        return values
     act = np.asarray(act, dtype=float)
     if act.shape != (13,):
         raise ValueError(f"activation vector must have shape (13,), got {act.shape}")
@@ -107,6 +119,26 @@ def system_utility(state: DuetState, pair: NotePair, act1, act2,
     return score
 
 
+# Candidates of a legality mask as (bit, voice-1 index, voice-2 index) in
+# ascending bit order, built the first time the mask is seen.  Reachable
+# states produce a few hundred distinct masks; the cache is emptied if it
+# ever holds _MAX_CANDIDATE_MASKS of them.
+_MAX_CANDIDATE_MASKS = 8192
+_TRIPLES = tuple((k, k // len(GAMUT), k % len(GAMUT))
+                 for k in range(len(GAMUT) ** 2))
+_CANDIDATES: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+
+def _candidates(bits: int) -> tuple[tuple[int, int, int], ...]:
+    found = _CANDIDATES.get(bits)
+    if found is None:
+        if len(_CANDIDATES) >= _MAX_CANDIDATE_MASKS:
+            _CANDIDATES.clear()
+        found = _CANDIDATES[bits] = tuple(
+            [t for t in _TRIPLES if bits >> t[0] & 1])
+    return found
+
+
 def negotiate(state: DuetState, act1, act2,
               cm_weight: float = 1.0) -> Agreement | DeadEnd:
     """The legal pair of maximal utility, or a dead end if none is legal.
@@ -118,16 +150,11 @@ def negotiate(state: DuetState, act1, act2,
     """
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
-    bits = legal_bits(state)
     row = _bonus_row(state.history[-1]) if state.history else None
-    n = len(GAMUT)
     best = -1
     best_utility = -1.0
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        k = low.bit_length() - 1
-        score = act1[k // n] * act2[k % n]
+    for k, i, j in _candidates(legal_bits(state)):
+        score = act1[i] * act2[j]
         if row is not None:
             score += cm_weight * row[k]
         if score > best_utility:
@@ -135,5 +162,6 @@ def negotiate(state: DuetState, act1, act2,
             best_utility = score
     if best < 0:
         return DeadEnd(step=state.position)
+    n = len(GAMUT)
     return Agreement(pair=(GAMUT[best // n], GAMUT[best % n]),
                      utility=best_utility)

@@ -32,6 +32,7 @@ that apply at the next position: ``legal_bits`` clears them all and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gamut import (
     GAMUT,
@@ -82,7 +83,8 @@ class DuetState:
     """Composition-so-far plus the cached counters rules 7 and 10 need.
 
     The counters are derivable from ``history``; ``append`` keeps them in
-    sync and ``from_history`` rebuilds them from scratch.
+    sync and ``from_history`` rebuilds them from scratch.  The legality
+    mask of the next position is computed once per state, on first use.
     """
 
     length: int
@@ -116,6 +118,13 @@ class DuetState:
             interior += 1
         return DuetState(self.length, self.history + (pair,), self.finalis,
                          run, interior)
+
+    @cached_property
+    def _legal_bits(self) -> int:
+        illegal = 0
+        for _, mask in _rule_masks(self):
+            illegal |= mask
+        return _ALL & ~illegal
 
     @classmethod
     def from_history(cls, length: int, history: tuple[NotePair, ...] = (),
@@ -214,11 +223,9 @@ def _rule_masks(state: DuetState) -> list[tuple[int, int]]:
 
 def legal_bits(state: DuetState) -> int:
     """The legal pairs at the next position as a 169-bit mask: bit
-    ``pair_bit(pair)`` is set when ``pair`` breaks no rule."""
-    illegal = 0
-    for _, mask in _rule_masks(state):
-        illegal |= mask
-    return _ALL & ~illegal
+    ``pair_bit(pair)`` is set when ``pair`` breaks no rule.  Computed once
+    per state and then kept, so negotiation and the trace share it."""
+    return state._legal_bits
 
 
 def check_pair(state: DuetState, pair: NotePair) -> RuleVerdict:

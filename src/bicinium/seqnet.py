@@ -11,7 +11,7 @@ doubles the code: 38 output/state units, one 19-block per voice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +113,7 @@ def step_state(state: NetState, out: np.ndarray) -> NetState:
     out = np.asarray(out, dtype=float)
     if out.shape != state.state_units.shape:
         raise ValueError("state/output length mismatch")
-    return replace(state, state_units=state.decay * state.state_units + out)
+    return NetState(state.decay * state.state_units + out, state.decay)
 
 
 def forward(net: SequentialNet, plan: np.ndarray,
@@ -130,33 +130,58 @@ def forward(net: SequentialNet, plan: np.ndarray,
     return _sigmoid(net.w2 @ hidden + net.b2)
 
 
+# Pad units appended after the 19-block: a factor of 1.0 and a zero score.
+_ONE, _ZERO = 19, 20
+_UNIT_PAD = [1.0, 0.0]
+
+
+def _gamut_units(prev: Pitch | None) -> tuple[tuple[int, int, int], ...]:
+    """(degree, interval, direction) units each gamut pitch reads after
+    ``prev``; a pitch more than 8 steps away reads the zero unit."""
+    units = []
+    for p in GAMUT:
+        if prev is None:
+            units.append((_degree_unit(p), _ONE, _ONE))
+            continue
+        delta = p.index - prev.index
+        if abs(delta) > 8:
+            units.append((_ZERO, _ONE, _ONE))
+        else:
+            sign = _ASCEND if delta > 0 else _DESCEND if delta < 0 else _ONE
+            units.append((_degree_unit(p), _PITCH_UNITS + abs(delta), sign))
+    return tuple(units)
+
+
+# Indexed by the previous pitch's index, with slot 13 for no previous pitch.
+_GAMUT_UNITS = tuple(_gamut_units(prev) for prev in GAMUT + (None,))
+
+
 def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> np.ndarray:
     """Combine one 19-block of activations into 13 per-pitch expectations.
 
     Each gamut pitch is scored by the product of its degree-wheel
     activation, the activation of its step distance from the previous
-    note, and the activation of the movement direction; the vector is
-    then normalized to peak at 1 (all-zero passes through).
+    note, and the activation of the movement direction (a pitch beyond
+    the 8 interval units scores 0); the vector is then normalized to peak
+    at 1 (all-zero passes through).  The products run on Python floats,
+    in that order, over the unit table of ``prev``.
     """
     out = np.asarray(out, dtype=float)
     if out.shape != (NOTE_CODE_SIZE,):
         raise ValueError("expected one 19-unit block")
-    acts = np.zeros(len(GAMUT))
-    for p in GAMUT:
-        a = out[_degree_unit(p)]
-        if prev is not None:
-            delta = p.index - prev.index
-            if abs(delta) > 8:
-                a = 0.0
-            else:
-                a *= out[_PITCH_UNITS + abs(delta)]
-                if delta > 0:
-                    a *= out[_ASCEND]
-                elif delta < 0:
-                    a *= out[_DESCEND]
-        acts[p.index] = a
-    peak = acts.max()
-    return acts / peak if peak > 0 else acts
+    o = out.tolist() + _UNIT_PAD
+    acts = [o[d] * o[i] * o[s]
+            for d, i, s in _GAMUT_UNITS[13 if prev is None else prev.index]]
+    total = sum(acts)
+    if total - total != 0.0:
+        # A NaN or infinity: numpy's max propagates NaN, Python's does not.
+        acts = np.array(acts)
+        peak = acts.max()
+        return acts / peak if peak > 0 else acts
+    peak = max(acts)
+    if peak > 0:
+        acts = [a / peak for a in acts]
+    return np.array(acts)
 
 
 def decode_pitch(out_block: np.ndarray, prev: Pitch | None = None) -> Pitch:
@@ -205,31 +230,6 @@ def _sample_gradients(net: SequentialNet, x: np.ndarray, target: np.ndarray):
     dz2 = (o - target) * o * (1.0 - o)
     dz1 = (net.w2.T @ dz2) * h * (1.0 - h)
     return (np.outer(dz1, x), dz1, np.outer(dz2, h), dz2), o
-
-
-def batch_gradients(net: SequentialNet, inputs: np.ndarray,
-                    targets: np.ndarray):
-    """Gradients of the mean per-sample loss 0.5*||o-t||^2 over a batch."""
-    gw1 = np.zeros_like(net.w1)
-    gb1 = np.zeros_like(net.b1)
-    gw2 = np.zeros_like(net.w2)
-    gb2 = np.zeros_like(net.b2)
-    n = len(inputs)
-    for x, t in zip(inputs, targets):
-        (dw1, db1, dw2, db2), _ = _sample_gradients(net, x, t)
-        gw1 += dw1; gb1 += db1; gw2 += dw2; gb2 += db2
-    return gw1 / n, gb1 / n, gw2 / n, gb2 / n
-
-
-def batch_loss(net: SequentialNet, inputs: np.ndarray,
-               targets: np.ndarray) -> float:
-    """Mean per-sample loss 0.5*||o-t||^2, the quantity batch_gradients
-    differentiates."""
-    total = 0.0
-    for x, t in zip(inputs, targets):
-        o = forward(net, x[:net.plan_size], x[net.plan_size:])
-        total += 0.5 * float(np.sum((o - t) ** 2))
-    return total / len(inputs)
 
 
 def train(net: SequentialNet, corpus, epochs: int = 500,

@@ -24,8 +24,6 @@ from bicinium.negotiation import (
 from bicinium.rules import DuetState, check_pair, validate_duet
 from bicinium.seqnet import (
     SequentialNet,
-    batch_gradients,
-    batch_loss,
     encode_note,
     forward,
     generate,
@@ -33,6 +31,7 @@ from bicinium.seqnet import (
 )
 
 from conftest import AGENT_ONLY_DUET, NONDET_DUETS, pitches
+from gradient_oracle import batch_gradients, batch_loss
 from test_negotiation import brute_force_argmax, random_state
 
 ZERO = np.zeros(13)

@@ -12,7 +12,6 @@ from bicinium.gamut import (
     interval_semitones,
     interval_steps,
     motion,
-    pitch_from_index,
     pitch_from_name,
     signed_interval,
 )
@@ -45,12 +44,6 @@ def test_pitch_from_name_examples():
 def test_pitch_from_name_rejects(bad):
     with pytest.raises(ValueError, match=repr(bad)):
         pitch_from_name(bad)
-
-
-def test_pitch_from_index_bounds():
-    assert pitch_from_index(12).name == "si8"
-    with pytest.raises(ValueError):
-        pitch_from_index(13)
 
 
 def test_interval_steps_examples(p):

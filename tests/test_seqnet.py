@@ -7,8 +7,6 @@ from bicinium.gamut import GAMUT, pitch_from_name
 from bicinium.seqnet import (
     NOTE_CODE_SIZE,
     SequentialNet,
-    batch_gradients,
-    batch_loss,
     decode_pitch,
     encode_note,
     forward,
@@ -19,6 +17,8 @@ from bicinium.seqnet import (
     step_state,
     train,
 )
+
+from gradient_oracle import batch_gradients, batch_loss
 
 gamut_pitch = st.sampled_from(GAMUT)
 
