@@ -4,15 +4,16 @@ feed back as context.
 Per bar each agent runs its net forward and maps the output onto the
 13-pitch gamut through the unit table of its previous note (or offers a
 list of zeros in agent-only mode).  The negotiation picks the legal pair of
-maximal utility from the candidate bits of the bar's legality mask, which
-the state computes once and the trace's legal count reuses.  Each agent
-then pushes the 19-code of its own agreed note, read from a table, into
+maximal utility from the candidate bits of the bar's legality mask (cached
+on the state's rule key, so the trace's legal count reuses it).  Each agent
+then pushes the 19-code of its own agreed note, read from a cache, into
 its net state.  Dead ends stop the run; there is no backtracking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,29 +35,21 @@ __all__ = ["CompositionConfig", "StepTrace", "CompositionResult",
 _DEFAULT_START = (pitch_from_name("re8"), pitch_from_name("re8"))
 
 
-# Read-only 19-codes fed back for an agreed note, by the previous note's
-# index (slot 13: no previous note) and then the note's index.  A row is
-# built the first time its previous note is seen.
-_FEEDBACK_CODES: list[tuple[np.ndarray, ...] | None] = [None] * 14
-
-
 def _feedback_code(note: Pitch, prev: Pitch | None) -> np.ndarray:
-    slot = 13 if prev is None else prev.index
-    row = _FEEDBACK_CODES[slot]
-    if row is None:
-        row = _FEEDBACK_CODES[slot] = tuple(_code(p, prev) for p in GAMUT)
-    return row[note.index]
+    """Read-only 19-code fed back for an agreed note."""
+    return _code(note.index, 13 if prev is None else prev.index)
 
 
-def _code(note: Pitch, prev: Pitch | None) -> np.ndarray:
+@cache
+def _code(note: int, prev: int) -> np.ndarray:
     # The rules cap simultaneous intervals, not melodic leaps, so an agreed
     # note can sit more than 8 steps from its predecessor.  The 19-code has
     # no interval unit for that, so encode_note refuses it and the bare
-    # pitch code stands in.
+    # pitch code stands in.  Index 13 stands for no previous note.
     try:
-        code = encode_note(note, prev)
+        code = encode_note(GAMUT[note], GAMUT[prev] if prev < 13 else None)
     except ValueError:
-        code = encode_note(note)
+        code = encode_note(GAMUT[note])
     code.flags.writeable = False
     return code
 
@@ -121,10 +114,16 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     be None; otherwise each agent runs its own net and feeds back the
     encoded note of every agreement.  Output is fully determined by
     (nets, cfg): the only randomness is the seeded coin toss.  A start
-    pair that breaks a rule at the opening raises ValueError.
+    pair that breaks a rule at the opening, or a net that is not a
+    one-voice net, raises ValueError.
     """
-    if not cfg.agent_only and (net1 is None or net2 is None):
-        raise ValueError("both nets are required unless agent_only is set")
+    if not cfg.agent_only:
+        if net1 is None or net2 is None:
+            raise ValueError("both nets are required unless agent_only is set")
+        for name, net in (("net1", net1), ("net2", net2)):
+            if net.voices != 1:
+                raise ValueError(f"{name} is a {net.voices}-voice net; each "
+                                 "agent needs a one-voice net")
     # Only the coin toss draws from the generator, so a fixed weight skips
     # building one.
     coin_toss = cfg.weights.mode == "coin_toss"
@@ -169,7 +168,6 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
                                          dead_end_step=t)
             pair, utility = outcome.pair, outcome.utility
 
-        # legal_bits is computed once per state: negotiation already read it.
         trace.append(StepTrace(step=t, weight=w, pair=pair, utility=utility,
                                legal_count=legal_bits(state).bit_count()))
         state = state.append(pair)

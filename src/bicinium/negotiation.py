@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -91,18 +92,14 @@ def _as_activations(act) -> list[float]:
     return values
 
 
-# Contrary-motion bonus of every candidate by previous pair (indexed by
-# pair_bit), built the first time that pair is seen.
-_BONUS_ROWS: list[array | None] = [None] * len(GAMUT) ** 2
-
-
-def _bonus_row(prev: NotePair) -> array:
-    k = pair_bit(prev)
-    row = _BONUS_ROWS[k]
-    if row is None:
-        row = _BONUS_ROWS[k] = array("d", [
-            contrary_motion_bonus(prev, (a, b)) for a in GAMUT for b in GAMUT])
-    return row
+@cache
+def _bonus_row(prev_bit: int) -> array:
+    """Contrary-motion bonus of every candidate, indexed by its bit, after
+    the previous pair of bit ``prev_bit``."""
+    n = len(GAMUT)
+    prev = (GAMUT[prev_bit // n], GAMUT[prev_bit % n])
+    return array("d", [contrary_motion_bonus(prev, (a, b))
+                       for a in GAMUT for b in GAMUT])
 
 
 def system_utility(state: DuetState, pair: NotePair, act1, act2,
@@ -115,28 +112,20 @@ def system_utility(state: DuetState, pair: NotePair, act1, act2,
     act2 = _as_activations(act2)
     score = act1[pair[0].index] * act2[pair[1].index]
     if state.history:
-        score += cm_weight * _bonus_row(state.history[-1])[k]
+        score += cm_weight * _bonus_row(pair_bit(state.history[-1]))[k]
     return score
 
 
-# Candidates of a legality mask as (bit, voice-1 index, voice-2 index) in
-# ascending bit order, built the first time the mask is seen.  Reachable
-# states produce a few hundred distinct masks; the cache is emptied if it
-# ever holds _MAX_CANDIDATE_MASKS of them.
-_MAX_CANDIDATE_MASKS = 8192
 _TRIPLES = tuple((k, k // len(GAMUT), k % len(GAMUT))
                  for k in range(len(GAMUT) ** 2))
-_CANDIDATES: dict[int, tuple[tuple[int, int, int], ...]] = {}
 
 
+@cache
 def _candidates(bits: int) -> tuple[tuple[int, int, int], ...]:
-    found = _CANDIDATES.get(bits)
-    if found is None:
-        if len(_CANDIDATES) >= _MAX_CANDIDATE_MASKS:
-            _CANDIDATES.clear()
-        found = _CANDIDATES[bits] = tuple(
-            [t for t in _TRIPLES if bits >> t[0] & 1])
-    return found
+    """Candidates of a legality mask as (bit, voice-1 index, voice-2 index)
+    in ascending bit order.  Unbounded: a mask is a function of the rule
+    key, so there are no more masks than keys."""
+    return tuple([t for t in _TRIPLES if bits >> t[0] & 1])
 
 
 def negotiate(state: DuetState, act1, act2,
@@ -150,7 +139,7 @@ def negotiate(state: DuetState, act1, act2,
     """
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
-    row = _bonus_row(state.history[-1]) if state.history else None
+    row = _bonus_row(pair_bit(state.history[-1])) if state.history else None
     best = -1
     best_utility = -1.0
     for k, i, j in _candidates(legal_bits(state)):

@@ -24,15 +24,16 @@ bit k stands for the pair (GAMUT[k // 13], GAMUT[k % 13]), so ascending
 bit order is the voice-1-then-voice-2 scan order.  The masks of rules 1,
 2, 3, 6, 7, 10 and 11 depend on the candidate alone and are built at
 import; those of rules 4, 5, 8 and 9 also depend on the previous pair and
-are built the first time that pair is seen.  The state picks the masks
-that apply at the next position: ``legal_bits`` clears them all and
-``check_pair`` names those that hold the candidate's bit.
+are built the first time that pair is seen.  Which masks apply, and the
+legal mask they leave, are cached on the state's small rule key
+(``DuetState._key``): ``legal_bits`` reads the legal mask and
+``check_pair`` names the rules whose mask holds the candidate's bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 from .gamut import (
     GAMUT,
@@ -54,16 +55,6 @@ MAX_IMPERFECT_RUN = 4
 MAX_INTERIOR_PERFECT = 2
 
 
-def _family(pair: NotePair) -> int:
-    """Imperfect-interval family of a pair: 3 (thirds/tenths), 6 (sixths), 0."""
-    steps = interval_steps(*pair)
-    if steps in THIRDS_FAMILY:
-        return 3
-    if steps in SIXTHS_FAMILY:
-        return 6
-    return 0
-
-
 @dataclass(frozen=True)
 class RuleVerdict:
     violations: frozenset[int]
@@ -78,13 +69,12 @@ class RuleVerdict:
         return "rules " + " ".join(str(r) for r in sorted(self.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DuetState:
     """Composition-so-far plus the cached counters rules 7 and 10 need.
 
     The counters are derivable from ``history``; ``append`` keeps them in
-    sync and ``from_history`` rebuilds them from scratch.  The legality
-    mask of the next position is computed once per state, on first use.
+    sync and ``from_history`` rebuilds them from scratch.
     """
 
     length: int
@@ -102,29 +92,35 @@ class DuetState:
     def complete(self) -> bool:
         return len(self.history) == self.length
 
+    @property
+    def _key(self) -> tuple[bool, bool, int, int, bool, bool]:
+        """What the rules read at the next position: (opening, last, the
+        previous pair's bit or -1, the family whose run is at the cap or 0,
+        interior perfects at the cap, finalis due)."""
+        t = len(self.history)
+        if t >= self.length:
+            raise ValueError(f"position {t} beyond duet length {self.length}")
+        last = t == self.length - 1
+        fam, run = self.imperfect_run
+        return (t == 0, last,
+                pair_bit(self.history[-1]) if t else -1,
+                fam if fam in _FAMILY and run >= MAX_IMPERFECT_RUN else 0,
+                self.interior_perfect_count >= MAX_INTERIOR_PERFECT,
+                self.finalis and last)
+
     def append(self, pair: NotePair) -> "DuetState":
-        t = self.position
+        t = len(self.history)
         if t >= self.length:
             raise ValueError("duet already complete")
-        fam = _family(pair)
-        if fam and fam == self.imperfect_run[0]:
-            run = (fam, self.imperfect_run[1] + 1)
-        elif fam:
-            run = (fam, 1)
-        else:
-            run = (0, 0)
+        k = pair_bit(pair)
+        fam = 3 if _FAMILY[3] >> k & 1 else 6 if _FAMILY[6] >> k & 1 else 0
+        prev_fam, prev_run = self.imperfect_run
+        run = (fam, prev_run + 1 if fam == prev_fam else 1) if fam else (0, 0)
         interior = self.interior_perfect_count
-        if _perfect(pair) and 0 < t < self.length - 1:
+        if _PERFECT >> k & 1 and 0 < t < self.length - 1:
             interior += 1
         return DuetState(self.length, self.history + (pair,), self.finalis,
                          run, interior)
-
-    @cached_property
-    def _legal_bits(self) -> int:
-        illegal = 0
-        for _, mask in _rule_masks(self):
-            illegal |= mask
-        return _ALL & ~illegal
 
     @classmethod
     def from_history(cls, length: int, history: tuple[NotePair, ...] = (),
@@ -163,15 +159,19 @@ _DISSONANT = _mask(
 _NOT_PERFECT = _mask(lambda p: not _perfect(p))                        # 2
 _UNISON = _mask(lambda p: interval_steps(*p) == 0)                     # 3
 _WIDE = _mask(lambda p: interval_steps(*p) > 9)                        # 6
-_FAMILY = {fam: _mask(lambda p: _family(p) == fam) for fam in (3, 6)}  # 7
+_FAMILY = {3: _mask(lambda p: interval_steps(*p) in THIRDS_FAMILY),   # 7
+           6: _mask(lambda p: interval_steps(*p) in SIXTHS_FAMILY)}
 _PERFECT = _mask(_perfect)                                             # 10
 _OFF_FINALIS = _mask(
     lambda p: not (p[0].degree == 0 and p[1].degree == 0))             # 11
 
 
-def _motion_masks(prev: NotePair) -> tuple[int, int, int, int]:
+@cache
+def _motion_masks(prev_bit: int) -> tuple[int, int, int, int]:
     """Masks of rules 4, 5, 8 and 9, which compare the candidate with the
-    previous pair ``prev``."""
+    previous pair, given by its bit."""
+    prev = _PAIRS[prev_bit]
+
     def leaps(pair):
         return pair[0].index - prev[0].index, pair[1].index - prev[1].index
 
@@ -189,50 +189,50 @@ def _motion_masks(prev: NotePair) -> tuple[int, int, int, int]:
     )
 
 
-# Rules 4, 5, 8 and 9 by previous pair, built the first time it is seen.
-_MOTION_MASKS: list[tuple[int, int, int, int] | None] = [None] * len(_PAIRS)
-
-
-def _rule_masks(state: DuetState) -> list[tuple[int, int]]:
-    """(rule, mask) of every rule that applies at the next position."""
-    t = state.position
-    if t >= state.length:
-        raise ValueError(f"position {t} beyond duet length {state.length}")
-    last = t == state.length - 1
+@cache
+def _rule_masks(key: tuple) -> tuple[tuple[int, int], ...]:
+    """(rule, mask) of every rule that applies at a state with this key."""
+    opening, last, prev_bit, run_family, interior_full, finalis_due = key
     masks = [(1, _DISSONANT), (6, _WIDE)]
-    if t == 0 or last:
+    if opening or last:
         masks.append((2, _NOT_PERFECT))
     else:
         masks.append((3, _UNISON))
-        if state.interior_perfect_count >= MAX_INTERIOR_PERFECT:
+        if interior_full:
             masks.append((10, _PERFECT))
-    if t:
-        prev = state.history[-1]
-        k = pair_bit(prev)
-        motion_masks = _MOTION_MASKS[k]
-        if motion_masks is None:
-            motion_masks = _MOTION_MASKS[k] = _motion_masks(prev)
-        masks.extend(zip((4, 5, 8, 9), motion_masks))
-    fam, run = state.imperfect_run
-    if fam in _FAMILY and run + 1 > MAX_IMPERFECT_RUN:
-        masks.append((7, _FAMILY[fam]))
-    if state.finalis and last:
+    if prev_bit >= 0:
+        masks.extend(zip((4, 5, 8, 9), _motion_masks(prev_bit)))
+    if run_family:
+        masks.append((7, _FAMILY[run_family]))
+    if finalis_due:
         masks.append((11, _OFF_FINALIS))
-    return masks
+    return tuple(masks)
+
+
+@cache
+def _legal_mask(key: tuple) -> int:
+    illegal = 0
+    for _, mask in _rule_masks(key):
+        illegal |= mask
+    return _ALL & ~illegal
 
 
 def legal_bits(state: DuetState) -> int:
     """The legal pairs at the next position as a 169-bit mask: bit
-    ``pair_bit(pair)`` is set when ``pair`` breaks no rule.  Computed once
-    per state and then kept, so negotiation and the trace share it."""
-    return state._legal_bits
+    ``pair_bit(pair)`` is set when ``pair`` breaks no rule."""
+    return _legal_mask(state._key)
+
+
+_LEGAL = RuleVerdict(frozenset())
 
 
 def check_pair(state: DuetState, pair: NotePair) -> RuleVerdict:
     """Verdict for appending ``pair`` at the next position of ``state``."""
-    masks = _rule_masks(state)
+    key = state._key
     k = pair_bit(pair)
-    return RuleVerdict(frozenset(rule for rule, mask in masks
+    if _legal_mask(key) >> k & 1:
+        return _LEGAL
+    return RuleVerdict(frozenset(rule for rule, mask in _rule_masks(key)
                                  if mask >> k & 1))
 
 

@@ -88,6 +88,8 @@ class SequentialNet:
             decay: float = 0.7, seed: int = 0) -> "SequentialNet":
         if not 0 <= decay < 1:
             raise ValueError("decay must be in [0, 1)")
+        if hidden_size < 1:
+            raise ValueError(f"hidden_size must be at least 1, got {hidden_size}")
         rng = np.random.default_rng(seed)
         out = voices * NOTE_CODE_SIZE
         def init(*shape):
@@ -237,8 +239,14 @@ def train(net: SequentialNet, corpus, epochs: int = 500,
     """Online backprop over the teacher-forced sample set, in place.
 
     Returns the per-epoch mean squared error (mean over samples and
-    output units), measured on each sample before its update.
+    output units), measured on each sample before its update.  A learning
+    rate of 0 leaves the weights as they are.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if not 0 <= learning_rate < np.inf:
+        raise ValueError("learning rate must be finite and non-negative, "
+                         f"got {learning_rate}")
     if not corpus:
         raise ValueError("empty corpus")
     inputs, targets = _teacher_samples(net, corpus)
@@ -264,9 +272,13 @@ def generate(net: SequentialNet, plan, length: int,
     the state units.  `start` pins the first note (a pitch, or a tuple of
     pitches for a multi-voice net).
     """
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
     plan = np.asarray(plan, dtype=float)
     if start is not None and not isinstance(start, tuple):
         start = (start,)
+    if start is not None and len(start) != net.voices:
+        raise ValueError(f"start needs one pitch per voice ({net.voices})")
     state = net.fresh_state()
     prev: list[Pitch | None] = [None] * net.voices
     voices: list[list[Pitch]] = [[] for _ in range(net.voices)]

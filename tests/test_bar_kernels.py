@@ -3,8 +3,9 @@
 ``map_to_gamut`` runs on Python floats over a per-previous-pitch unit
 table; ``reference_map_to_gamut`` below is the per-pitch numpy loop it
 replaced, kept as the oracle.  The fed-back 19-codes come from a table,
-negotiation reads candidates from a bounded cache and takes activation
-lists as they are, and the legality mask is computed once per bar.
+negotiation reads candidates from a cache keyed by the legality mask and
+takes activation lists as they are, and the rules compute each mask once
+per rule key.
 """
 
 import math
@@ -18,7 +19,6 @@ from bicinium import composer, negotiation, rules
 from bicinium.cli import main
 from bicinium.composer import CompositionConfig, compose
 from bicinium.gamut import GAMUT, Pitch
-from bicinium.negotiation import DeadEnd, negotiate
 from bicinium.rules import DuetState
 from bicinium.seqnet import (
     NOTE_CODE_SIZE,
@@ -28,8 +28,6 @@ from bicinium.seqnet import (
     map_to_gamut,
     save_net,
 )
-
-from test_negotiation import brute_force_argmax, random_state
 
 
 def reference_map_to_gamut(out, prev: Pitch | None = None) -> np.ndarray:
@@ -157,45 +155,31 @@ def test_nan_checkpoint_raises_rather_than_dead_ends(tmp_path, capsys,
     assert "finite and non-negative" in capsys.readouterr().err
 
 
-def test_candidate_cache_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(negotiation, "_CANDIDATES", {})
-    monkeypatch.setattr(negotiation, "_MAX_CANDIDATE_MASKS", 5)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        state = random_state(rng)
-        act1 = rng.uniform(0, 1, 13)
-        act2 = rng.uniform(0, 1, 13)
-        expected_pair, expected_u = brute_force_argmax(state, act1, act2, 1.0)
-        got = negotiate(state, act1, act2, 1.0)
-        assert len(negotiation._CANDIDATES) <= 5
-        if expected_pair is None:
-            assert isinstance(got, DeadEnd)
-        else:
-            assert got.pair == expected_pair
-            assert got.utility == pytest.approx(expected_u, abs=1e-12)
+def test_legality_cache_misses_once_per_key():
+    rules._legal_mask.cache_clear()
+    rules._rule_masks.cache_clear()
+    net1, net2 = SequentialNet.new(seed=1), SequentialNet.new(seed=2)
+    result = compose(net1, net2, CompositionConfig(length=12, start_pair=None))
+    bars = len(result.trace) + (not result.complete)
+    state = DuetState(12)
+    keys = [state._key]
+    for pair in result.pairs[:bars - 1]:
+        state = state.append(pair)
+        keys.append(state._key)
+    assert len(keys) == bars
+    for cached in (rules._legal_mask, rules._rule_masks):
+        info = cached.cache_info()
+        assert info.misses == info.currsize == len(set(keys))
 
 
-def test_candidate_cache_default_bound_holds_over_many_runs():
+def test_candidates_cached_no_more_than_keys():
+    rules._legal_mask.cache_clear()
+    negotiation._candidates.cache_clear()
     starts = [None] + [(a, b) for a in GAMUT for b in GAMUT
                        if rules.check_pair(DuetState(2), (a, b)).legal]
     for start in starts:
         for length in (2, 5, 9, 14):
             compose(None, None, CompositionConfig(
                 length=length, start_pair=start, agent_only=True))
-    assert 0 < len(negotiation._CANDIDATES) <= negotiation._MAX_CANDIDATE_MASKS
-    assert negotiation._MAX_CANDIDATE_MASKS == 8192
-
-
-def test_legality_mask_computed_once_per_bar(monkeypatch):
-    calls = []
-    original = rules._rule_masks
-
-    def counting(state):
-        calls.append(state.position)
-        return original(state)
-
-    monkeypatch.setattr(rules, "_rule_masks", counting)
-    net1, net2 = SequentialNet.new(seed=1), SequentialNet.new(seed=2)
-    result = compose(net1, net2, CompositionConfig(length=12, start_pair=None))
-    bars = len(result.trace) + (not result.complete)
-    assert sorted(calls) == list(range(bars))
+    masks = negotiation._candidates.cache_info().currsize
+    assert 0 < masks <= rules._legal_mask.cache_info().currsize

@@ -251,3 +251,55 @@ def test_cli_unknown_flag_exits_nonzero(capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["validate", "--duet", "/nonexistent/duet.txt"]) == 1
+
+
+def assert_one_line_refusal(code, err, command, message):
+    assert code == 1
+    assert err.startswith(f"bicinium {command}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--epochs", "0"], "epochs must be at least 1, got 0"),
+    (["--epochs", "-1"], "epochs must be at least 1, got -1"),
+    (["--lr", "nan"], "learning rate must be finite and non-negative"),
+    (["--lr", "inf"], "learning rate must be finite and non-negative"),
+    (["--lr", "-0.5"], "learning rate must be finite and non-negative"),
+    (["--hidden", "-1"], "hidden_size must be at least 1, got -1"),
+    (["--hidden", "0"], "hidden_size must be at least 1, got 0"),
+])
+def test_cli_train_rejects_bad_flags(flags, message, tmp_path, capsys):
+    out = tmp_path / "net.ckpt"
+    code = main(["train", "--corpus", str(data_path("cantus_one_voice.txt")),
+                 "--out", str(out), *flags])
+    assert_one_line_refusal(code, capsys.readouterr().err, "train", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("voices,flags,message", [
+    (2, ["--start", "re8"], "start needs one pitch per voice (2)"),
+    (1, ["--length", "-3"], "length must be at least 1, got -3"),
+    (1, ["--length", "0"], "length must be at least 1, got 0"),
+])
+def test_cli_generate_rejects_bad_flags(voices, flags, message, tmp_path,
+                                        capsys):
+    ckpt = tmp_path / "net.ckpt"
+    save_net(SequentialNet.new(voices=voices, seed=3), ckpt)
+    code = main(["generate", "--net", str(ckpt), "--plan", "1,0,0,0", *flags])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "generate", message)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("two_voice", ["net1", "net2"])
+def test_cli_compose_rejects_two_voice_net(two_voice, tmp_path, capsys):
+    paths = []
+    for name in ("net1", "net2"):
+        paths.append(tmp_path / f"{name}.ckpt")
+        save_net(SequentialNet.new(voices=2 if name == two_voice else 1,
+                                   seed=1), paths[-1])
+    code = main(["compose", "--netA", str(paths[0]), "--netB", str(paths[1])])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "compose",
+                            f"{two_voice} is a 2-voice net")
+    assert captured.out == ""

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicinium.gamut import GAMUT, IntervalQuality, interval_quality, interval_steps
@@ -224,3 +224,34 @@ def test_legal_pairs_matches_brute_force(state):
                 if not scalar_violations(state, pair)]
     assert legal_pairs(state) == expected
     assert legal_bits(state).bit_count() == len(expected)
+
+
+# Thirds make runs at the rule-7 cap common enough to reach.
+third_or_any = st.sampled_from([(a, b) for a in GAMUT for b in GAMUT
+                                if interval_steps(a, b) in (2, 9)]) | note_pair
+
+
+@st.composite
+def same_key_states(draw):
+    """A state from ``any_states`` and another state with the same rule key:
+    it keeps at most the first state's last few pairs after a new prefix,
+    and may differ in length and ``finalis``."""
+    a = draw(any_states())
+    # Keeping no pair tests the previous pair's part of the key; keeping
+    # one lets the new prefix set the run and the interior count.
+    keep = draw(st.sampled_from([0, 1, 1]) | st.integers(0, 19))
+    kept = a.history[max(0, len(a.history) - keep):]
+    prefix = tuple(draw(st.lists(third_or_any, max_size=19 - len(kept))))
+    history = prefix + kept
+    length = draw(st.integers(len(history) + 1, 20))
+    b = DuetState.from_history(length, history, finalis=draw(st.booleans()))
+    assume(a._key == b._key)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_key_states())
+def test_equal_keys_get_equal_scalar_verdicts(states):
+    a, b = states
+    for pair in ALL_PAIRS:
+        assert scalar_violations(a, pair) == scalar_violations(b, pair), pair

@@ -203,6 +203,15 @@ def test_generate_deterministic():
     assert len(a) == 1 and len(a[0]) == 8
 
 
+def test_generate_start_needs_one_pitch_per_voice(p):
+    # a tuple start is taken as one pitch per voice, so extra pitches are
+    # refused too, not only missing ones
+    net = SequentialNet.new(seed=4)
+    with pytest.raises(ValueError, match="one pitch per voice"):
+        generate(net, (1, 0, 0, 0), 4, start=(p("re8"), p("la8")))
+    assert generate(net, (1, 0, 0, 0), 4, start=(p("re8"),))[0][0] == p("re8")
+
+
 def test_generate_state_recurrence():
     # independently replay a generation trace with the raw recurrence
     # s_t = decay*s_{t-1} + code_{t-1} and check it decodes identically
