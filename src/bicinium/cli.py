@@ -26,13 +26,14 @@ def _plan(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad plan vector {text!r}") from None
 
 
-def _pair(text: str):
+def _pitches(text: str):
+    """``pitch[:pitch]``, one pitch per voice, or None for ``none``."""
     if text.lower() == "none":
         return None
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("start pair must look like re8:re8")
-    return (pitch_from_name(parts[0]), pitch_from_name(parts[1]))
+    try:
+        return tuple(pitch_from_name(name) for name in text.split(":"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _file_hash(path) -> str:
@@ -59,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--plan", type=_plan, required=True)
     p.add_argument("--length", type=int, default=8)
-    p.add_argument("--start", help="first note, e.g. re8")
+    p.add_argument("--start", type=_pitches,
+                   help="first note of each voice, e.g. re8 or re8:la8")
 
     p = sub.add_parser("compose", help="compose a duet by negotiation")
     p.add_argument("--netA")
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cm-weight", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--agent-only", action="store_true")
-    p.add_argument("--start", type=_pair, default=_pair("re8:re8"),
+    p.add_argument("--start", type=_pitches, default="re8:re8",
                    help="first pair, e.g. re8:re8 (or 'none' to negotiate)")
     p.add_argument("--no-finalis", action="store_true")
     p.add_argument("--midi", help="write the duet as a MIDI file")
@@ -103,8 +105,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_generate(args) -> int:
     net = load_net(args.net)
-    start = pitch_from_name(args.start) if args.start else None
-    voices = generate(net, args.plan, args.length, start=start)
+    voices = generate(net, args.plan, args.length, start=args.start)
     for i, voice in enumerate(voices, start=1):
         prefix = f"V{i}: " if len(voices) > 1 else ""
         print(prefix + " ".join(p.name for p in voice))

@@ -6,14 +6,13 @@ Per bar each agent runs its net forward and maps the output onto the
 list of zeros in agent-only mode).  The negotiation picks the legal pair of
 maximal utility from the candidate bits of the bar's legality mask (cached
 on the state's rule key, so the trace's legal count reuses it).  Each agent
-then pushes the 19-code of its own agreed note, read from a cache, into
+then pushes the 19-code ``seqnet`` feeds back for its agreed note into
 its net state.  Dead ends stop the run; there is no backtracking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -27,31 +26,13 @@ from .negotiation import (
     system_utility,
 )
 from .rules import DuetState, check_pair, legal_bits
-from .seqnet import SequentialNet, encode_note, forward, map_to_gamut, step_state
+from .seqnet import (SequentialNet, _feedback_code, forward, map_to_gamut,
+                     step_state)
 
 __all__ = ["CompositionConfig", "StepTrace", "CompositionResult",
            "draw_step_weight", "compose"]
 
 _DEFAULT_START = (pitch_from_name("re8"), pitch_from_name("re8"))
-
-
-def _feedback_code(note: Pitch, prev: Pitch | None) -> np.ndarray:
-    """Read-only 19-code fed back for an agreed note."""
-    return _code(note.index, 13 if prev is None else prev.index)
-
-
-@cache
-def _code(note: int, prev: int) -> np.ndarray:
-    # The rules cap simultaneous intervals, not melodic leaps, so an agreed
-    # note can sit more than 8 steps from its predecessor.  The 19-code has
-    # no interval unit for that, so encode_note refuses it and the bare
-    # pitch code stands in.  Index 13 stands for no previous note.
-    try:
-        code = encode_note(GAMUT[note], GAMUT[prev] if prev < 13 else None)
-    except ValueError:
-        code = encode_note(GAMUT[note])
-    code.flags.writeable = False
-    return code
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +49,8 @@ class CompositionConfig:
     def __post_init__(self):
         if self.length < 2:
             raise ValueError("length must be at least 2")
+        if self.start_pair is not None and len(self.start_pair) != 2:
+            raise ValueError("start needs one pitch per voice (2)")
 
 
 @dataclass(frozen=True)

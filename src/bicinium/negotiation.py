@@ -95,8 +95,10 @@ def _as_activations(act) -> list[float]:
 @cache
 def _bonus_row(prev_bit: int) -> array:
     """Contrary-motion bonus of every candidate, indexed by its bit, after
-    the previous pair of bit ``prev_bit``."""
+    the previous pair of bit ``prev_bit``; all zero at the opening (-1)."""
     n = len(GAMUT)
+    if prev_bit < 0:
+        return array("d", [0.0] * n * n)
     prev = (GAMUT[prev_bit // n], GAMUT[prev_bit % n])
     return array("d", [contrary_motion_bonus(prev, (a, b))
                        for a in GAMUT for b in GAMUT])
@@ -105,15 +107,15 @@ def _bonus_row(prev_bit: int) -> array:
 def system_utility(state: DuetState, pair: NotePair, act1, act2,
                    cm_weight: float = 1.0) -> float:
     """Joint utility of a candidate pair; exactly 0 for illegal pairs."""
+    if not -math.inf < cm_weight < math.inf:
+        raise ValueError(f"cm_weight must be finite, got {cm_weight}")
+    act1 = _as_activations(act1)
+    act2 = _as_activations(act2)
     k = pair_bit(pair)
     if not legal_bits(state) >> k & 1:
         return 0.0
-    act1 = _as_activations(act1)
-    act2 = _as_activations(act2)
-    score = act1[pair[0].index] * act2[pair[1].index]
-    if state.history:
-        score += cm_weight * _bonus_row(pair_bit(state.history[-1]))[k]
-    return score
+    return (act1[pair[0].index] * act2[pair[1].index]
+            + cm_weight * _bonus_row(state._key[2])[k])
 
 
 _TRIPLES = tuple((k, k // len(GAMUT), k % len(GAMUT))
@@ -137,15 +139,15 @@ def negotiate(state: DuetState, act1, act2,
     strict improvement, so the first pair reaching the maximal utility
     wins ties.
     """
+    if not -math.inf < cm_weight < math.inf:
+        raise ValueError(f"cm_weight must be finite, got {cm_weight}")
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
-    row = _bonus_row(pair_bit(state.history[-1])) if state.history else None
+    row = _bonus_row(state._key[2])
     best = -1
     best_utility = -1.0
     for k, i, j in _candidates(legal_bits(state)):
-        score = act1[i] * act2[j]
-        if row is not None:
-            score += cm_weight * row[k]
+        score = act1[i] * act2[j] + cm_weight * row[k]
         if score > best_utility:
             best = k
             best_utility = score

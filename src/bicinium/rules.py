@@ -265,6 +265,8 @@ def validate_duet(voice1, voice2, finalis: bool = True) -> DuetReport:
         raise ValueError(
             f"voices differ in length: {len(voice1)} vs {len(voice2)}")
     length = len(voice1)
+    if not length:
+        raise ValueError("empty duet: the voices hold no notes")
     state = DuetState(length=length, finalis=finalis)
     verdicts = []
     for pair in zip(voice1, voice2):

@@ -11,12 +11,14 @@ doubles the code: 38 output/state units, one 19-block per voice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .gamut import GAMUT, Pitch
+from .gamut import GAMUT, Pitch, interval_steps
 
 __all__ = [
     "NOTE_CODE_SIZE",
@@ -35,7 +37,6 @@ __all__ = [
 
 NOTE_CODE_SIZE = 19
 _PITCH_UNITS = 8
-_INTERVAL_UNITS = 9  # step distances 0..8
 _ASCEND, _DESCEND = 17, 18
 
 
@@ -48,21 +49,59 @@ def _degree_unit(p: Pitch) -> int:
     return p.index if p.index <= 7 else p.index - 7
 
 
+# Pad units appended after the 19-block: a factor of 1.0 and a zero score.
+_ONE, _ZERO = 19, 20
+_UNIT_PAD = [1.0, 0.0]
+
+
+def _gamut_units(prev: Pitch | None) -> tuple[tuple[int, int, int], ...]:
+    """(degree, interval, direction) units each gamut pitch reads after
+    ``prev``; a pitch more than 8 steps away reads the zero unit."""
+    units = []
+    for p in GAMUT:
+        if prev is None:
+            units.append((_degree_unit(p), _ONE, _ONE))
+            continue
+        delta = p.index - prev.index
+        if abs(delta) > 8:
+            units.append((_ZERO, _ONE, _ONE))
+        else:
+            sign = _ASCEND if delta > 0 else _DESCEND if delta < 0 else _ONE
+            units.append((_degree_unit(p), _PITCH_UNITS + abs(delta), sign))
+    return tuple(units)
+
+
+# Indexed by the previous pitch's index, with slot 13 for no previous pitch.
+_GAMUT_UNITS = tuple(_gamut_units(prev) for prev in GAMUT + (None,))
+
+
 def encode_note(cur: Pitch, prev: Pitch | None = None) -> np.ndarray:
     """One-hot 19-code of a note in the context of its predecessor."""
+    if _GAMUT_UNITS[13 if prev is None else prev.index][cur.index][0] == _ZERO:
+        raise ValueError(
+            f"step {prev.name}->{cur.name} spans "
+            f"{interval_steps(prev, cur)} steps, beyond the 9 interval units")
+    return _feedback_code(cur, prev).copy()
+
+
+def _feedback_code(note: Pitch, prev: Pitch | None) -> np.ndarray:
+    """Read-only 19-code fed back into the state units for a chosen note.
+
+    The rules cap simultaneous intervals, not melodic leaps, so a note can
+    sit more than 8 steps from its predecessor; the code has no interval
+    unit for that, and the bare code of the note stands in.
+    """
+    return _code(note.index, 13 if prev is None else prev.index)
+
+
+@cache
+def _code(note: int, slot: int) -> np.ndarray:
+    units = _GAMUT_UNITS[slot][note]
+    if units[0] == _ZERO:
+        units = _GAMUT_UNITS[13][note]
     code = np.zeros(NOTE_CODE_SIZE)
-    code[_degree_unit(cur)] = 1.0
-    if prev is not None:
-        delta = cur.index - prev.index
-        if abs(delta) > 8:
-            raise ValueError(
-                f"step {prev.name}->{cur.name} spans {abs(delta)} steps, "
-                "beyond the 9 interval units")
-        code[_PITCH_UNITS + abs(delta)] = 1.0
-        if delta > 0:
-            code[_ASCEND] = 1.0
-        elif delta < 0:
-            code[_DESCEND] = 1.0
+    code[[u for u in units if u < NOTE_CODE_SIZE]] = 1.0
+    code.flags.writeable = False
     return code
 
 
@@ -132,32 +171,6 @@ def forward(net: SequentialNet, plan: np.ndarray,
     return _sigmoid(net.w2 @ hidden + net.b2)
 
 
-# Pad units appended after the 19-block: a factor of 1.0 and a zero score.
-_ONE, _ZERO = 19, 20
-_UNIT_PAD = [1.0, 0.0]
-
-
-def _gamut_units(prev: Pitch | None) -> tuple[tuple[int, int, int], ...]:
-    """(degree, interval, direction) units each gamut pitch reads after
-    ``prev``; a pitch more than 8 steps away reads the zero unit."""
-    units = []
-    for p in GAMUT:
-        if prev is None:
-            units.append((_degree_unit(p), _ONE, _ONE))
-            continue
-        delta = p.index - prev.index
-        if abs(delta) > 8:
-            units.append((_ZERO, _ONE, _ONE))
-        else:
-            sign = _ASCEND if delta > 0 else _DESCEND if delta < 0 else _ONE
-            units.append((_degree_unit(p), _PITCH_UNITS + abs(delta), sign))
-    return tuple(units)
-
-
-# Indexed by the previous pitch's index, with slot 13 for no previous pitch.
-_GAMUT_UNITS = tuple(_gamut_units(prev) for prev in GAMUT + (None,))
-
-
 def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> np.ndarray:
     """Combine one 19-block of activations into 13 per-pitch expectations.
 
@@ -166,7 +179,8 @@ def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> np.ndarray:
     note, and the activation of the movement direction (a pitch beyond
     the 8 interval units scores 0); the vector is then normalized to peak
     at 1 (all-zero passes through).  The products run on Python floats,
-    in that order, over the unit table of ``prev``.
+    in that order, over the unit table of ``prev``; a product that is not
+    finite and non-negative (a NaN weight, say) raises ValueError.
     """
     out = np.asarray(out, dtype=float)
     if out.shape != (NOTE_CODE_SIZE,):
@@ -174,12 +188,8 @@ def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> np.ndarray:
     o = out.tolist() + _UNIT_PAD
     acts = [o[d] * o[i] * o[s]
             for d, i, s in _GAMUT_UNITS[13 if prev is None else prev.index]]
-    total = sum(acts)
-    if total - total != 0.0:
-        # A NaN or infinity: numpy's max propagates NaN, Python's does not.
-        acts = np.array(acts)
-        peak = acts.max()
-        return acts / peak if peak > 0 else acts
+    if not all(0.0 <= a < math.inf for a in acts):
+        raise ValueError("activations must be finite and non-negative")
     peak = max(acts)
     if peak > 0:
         acts = [a / peak for a in acts]
@@ -292,7 +302,7 @@ def generate(net: SequentialNet, plan, length: int,
             else:
                 pitch = decode_pitch(block, prev[v])
             voices[v].append(pitch)
-            feedback.append(encode_note(pitch, prev[v]))
+            feedback.append(_feedback_code(pitch, prev[v]))
             prev[v] = pitch
         state = step_state(state, np.concatenate(feedback))
     return tuple(tuple(v) for v in voices)

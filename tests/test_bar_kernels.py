@@ -2,20 +2,21 @@
 
 ``map_to_gamut`` runs on Python floats over a per-previous-pitch unit
 table; ``reference_map_to_gamut`` below is the per-pitch numpy loop it
-replaced, kept as the oracle.  The fed-back 19-codes come from a table,
-negotiation reads candidates from a cache keyed by the legality mask and
-takes activation lists as they are, and the rules compute each mask once
-per rule key.
+replaced, kept as the oracle.  ``encode_note`` and the fed-back 19-codes
+read the same table; ``reference_encode_note`` is the arithmetic encoder
+it replaced.  Negotiation reads candidates from a cache keyed by the
+legality mask and takes activation lists as they are, and the rules
+compute each mask once per rule key.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bicinium import composer, negotiation, rules
+from bicinium import negotiation, rules, seqnet
 from bicinium.cli import main
 from bicinium.composer import CompositionConfig, compose
 from bicinium.gamut import GAMUT, Pitch
@@ -30,7 +31,7 @@ from bicinium.seqnet import (
 )
 
 
-def reference_map_to_gamut(out, prev: Pitch | None = None) -> np.ndarray:
+def reference_products(out, prev: Pitch | None = None) -> np.ndarray:
     out = np.asarray(out, dtype=float)
     acts = np.zeros(len(GAMUT))
     for p in GAMUT:
@@ -46,8 +47,30 @@ def reference_map_to_gamut(out, prev: Pitch | None = None) -> np.ndarray:
                 elif delta < 0:
                     a *= out[18]
         acts[p.index] = a
+    return acts
+
+
+def reference_map_to_gamut(out, prev: Pitch | None = None) -> np.ndarray:
+    acts = reference_products(out, prev)
     peak = acts.max()
     return acts / peak if peak > 0 else acts
+
+
+def reference_encode_note(cur: Pitch, prev: Pitch | None = None) -> np.ndarray:
+    code = np.zeros(NOTE_CODE_SIZE)
+    code[cur.index if cur.index <= 7 else cur.index - 7] = 1.0
+    if prev is not None:
+        delta = cur.index - prev.index
+        if abs(delta) > 8:
+            raise ValueError(
+                f"step {prev.name}->{cur.name} spans {abs(delta)} steps, "
+                "beyond the 9 interval units")
+        code[8 + abs(delta)] = 1.0
+        if delta > 0:
+            code[17] = 1.0
+        elif delta < 0:
+            code[18] = 1.0
+    return code
 
 
 previous = st.sampled_from(GAMUT + (None,))
@@ -58,13 +81,9 @@ any_floats = st.lists(st.floats(width=64) | tied, min_size=19, max_size=19)
 
 
 def assert_bit_identical(got, want):
-    """Same values bit for bit, except that a NaN may carry another sign
-    or payload (the multiply may see its operands in either order)."""
     assert type(got) is np.ndarray and got.dtype == np.float64
     assert got.shape == (13,)
-    nan = np.isnan(want)
-    assert (np.isnan(got) == nan).all()
-    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 @given(blocks, previous)
@@ -76,11 +95,19 @@ def test_map_to_gamut_equals_reference(block, prev):
 
 
 @given(any_floats, previous)
-def test_map_to_gamut_equals_reference_beyond_unit_range(block, prev):
-    # negative, huge, infinite and NaN activations take the same path
+@example([1e308] * 19, None)  # finite products whose sum overflows
+def test_map_to_gamut_scores_finite_products_and_refuses_the_rest(block,
+                                                                  prev):
+    # negative, huge, infinite and NaN activations: the reference's result
+    # where its products are all finite and non-negative, else ValueError
     with np.errstate(all="ignore"):
-        assert_bit_identical(map_to_gamut(block, prev),
-                             reference_map_to_gamut(block, prev))
+        products = reference_products(block, prev)
+        want = reference_map_to_gamut(block, prev)
+    if (np.isfinite(products) & (products >= 0)).all():
+        assert_bit_identical(map_to_gamut(block, prev), want)
+    else:
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            map_to_gamut(block, prev)
 
 
 @pytest.mark.parametrize("prev", GAMUT + (None,))
@@ -91,12 +118,27 @@ def test_map_to_gamut_all_zero_and_all_tied(prev):
                              reference_map_to_gamut(block, prev))
 
 
+@pytest.mark.parametrize("prev", GAMUT + (None,))
+def test_encode_note_equals_reference(prev):
+    for note in GAMUT:
+        try:
+            want = reference_encode_note(note, prev)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                encode_note(note, prev)
+            assert str(refused.value) == str(exc)
+            continue
+        got = encode_note(note, prev)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.flags.writeable
+
+
 def test_feedback_codes_equal_encode_note():
     for prev in GAMUT + (None,):
         for note in GAMUT:
             leap = prev is not None and abs(note.index - prev.index) > 8
             want = encode_note(note) if leap else encode_note(note, prev)
-            got = composer._feedback_code(note, prev)
+            got = seqnet._feedback_code(note, prev)
             assert np.array_equal(got, want)
             assert got.dtype == want.dtype
             assert not got.flags.writeable

@@ -79,6 +79,12 @@ def test_compose_rejects_illegal_start_pair(p):
         compose(None, None, cfg)
 
 
+@pytest.mark.parametrize("start", ["re8", "re8 la8 re8"])
+def test_config_start_pair_needs_two_pitches(start):
+    with pytest.raises(ValueError, match=r"one pitch per voice \(2\)"):
+        CompositionConfig(start_pair=pitches(start))
+
+
 def test_every_complete_result_validates_whatever_the_start():
     # each start pair is either rejected at the boundary or opens a run
     # whose complete results pass validate_duet, at every length

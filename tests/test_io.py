@@ -12,7 +12,7 @@ from bicinium.corpus import (
     render_text,
 )
 from bicinium.midi import duet_to_midi_bytes, write_midi
-from bicinium.seqnet import SequentialNet, save_net
+from bicinium.seqnet import SequentialNet, generate, save_net
 
 from conftest import AGENT_ONLY_DUET, TRAINING_DUET, pitches
 
@@ -172,6 +172,15 @@ def test_cli_validate_parallel_octaves(tmp_path, capsys):
     assert "4" in capsys.readouterr().out
 
 
+def test_cli_validate_refuses_empty_duet(tmp_path, capsys):
+    duet = tmp_path / "duet.txt"
+    duet.write_text("V1:\nV2:\n")
+    code = main(["validate", "--duet", str(duet)])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "validate", "empty duet")
+    assert captured.out == ""
+
+
 def test_cli_compose_agent_only_deterministic(capsys):
     args = ["compose", "--agent-only", "--seed", "1"]
     assert main(args) == 0
@@ -289,6 +298,48 @@ def test_cli_generate_rejects_bad_flags(voices, flags, message, tmp_path,
     captured = capsys.readouterr()
     assert_one_line_refusal(code, captured.err, "generate", message)
     assert captured.out == ""
+
+
+def test_cli_generate_refuses_nan_checkpoint(tmp_path, capsys):
+    # a NaN weight makes every activation NaN; generate used to decode
+    # them as re re re ... and exit 0
+    ckpt = tmp_path / "nan.ckpt"
+    net = SequentialNet.new(seed=3)
+    net.w1[0, 0] = float("nan")
+    save_net(net, ckpt)
+    code = main(["generate", "--net", str(ckpt), "--plan", "1,0,0,0"])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "generate",
+                            "activations must be finite and non-negative")
+    assert captured.out == ""
+
+
+def test_cli_generate_start_pins_every_voice(tmp_path, capsys):
+    ckpt = tmp_path / "duet.ckpt"
+    net = SequentialNet.new(voices=2, seed=3)
+    save_net(net, ckpt)
+    code = main(["generate", "--net", str(ckpt), "--plan", "1,0,0,0",
+                 "--length", "4", "--start", "re8:la8"])
+    assert code == 0
+    v1, v2 = capsys.readouterr().out.splitlines()
+    assert v1.startswith("V1: re8 ") and v2.startswith("V2: la8 ")
+    want = generate(net, (1, 0, 0, 0), 4, start=pitches("re8 la8"))
+    assert (v1, v2) == tuple(f"V{i}: " + " ".join(p.name for p in voice)
+                             for i, voice in enumerate(want, start=1))
+
+
+@pytest.mark.parametrize("start", ["re8", "re8:la8:re8"])
+def test_cli_compose_start_needs_two_pitches(start, capsys):
+    code = main(["compose", "--agent-only", "--start", start])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "compose",
+                            "start needs one pitch per voice (2)")
+    assert captured.out == ""
+
+
+def test_cli_start_refuses_unknown_pitch(capsys):
+    assert main(["compose", "--agent-only", "--start", "re8:xx"]) == 2
+    assert "--start: unknown pitch token 'xx'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("two_voice", ["net1", "net2"])

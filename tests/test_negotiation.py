@@ -95,6 +95,27 @@ def test_system_utility_zero_for_illegal(p):
     assert system_utility(state, (p("re8"), p("fa8")), ones, ones, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_system_utility_checks_activations_before_legality(p, bad):
+    # re8:fa8 breaks rule 2 at the opening; bad activations still raise
+    state = DuetState(length=8)
+    act = np.full(13, 0.5)
+    act[3] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        system_utility(state, (p("re8"), p("fa8")), act, np.ones(13), 1.0)
+
+
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_raises(p, w):
+    # w * 0.0 would turn every zero bonus, the opening's included, into NaN
+    states = (DuetState(8), DuetState.from_history(8, pairs("re8", "re8")))
+    for state in states:
+        with pytest.raises(ValueError, match="cm_weight must be finite"):
+            negotiate(state, ZERO, ZERO, w)
+        with pytest.raises(ValueError, match="cm_weight must be finite"):
+            system_utility(state, (p("la"), p("fa8")), ZERO, ZERO, w)
+
+
 def test_system_utility_zero_activations_cm_only(p):
     state = DuetState.from_history(8, pairs("re8 do8", "re8 mi8"))
     assert system_utility(state, (p("la"), p("fa8")), ZERO, ZERO,

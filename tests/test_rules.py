@@ -120,6 +120,11 @@ def test_validate_rejects_unequal_lengths(p):
         validate_duet(pitches("re8 re8"), pitches("re8"))
 
 
+def test_validate_rejects_empty_duet():
+    with pytest.raises(ValueError, match="empty duet"):
+        validate_duet((), ())
+
+
 def test_report_format():
     report = validate_duet(pitches("re8 re8"), pitches("re8 re8"))
     lines = str(report).splitlines()

@@ -212,6 +212,16 @@ def test_generate_start_needs_one_pitch_per_voice(p):
     assert generate(net, (1, 0, 0, 0), 4, start=(p("re8"),))[0][0] == p("re8")
 
 
+def test_generate_feeds_back_bare_code_after_a_wide_leap(p):
+    # outputs near 1e-304 make every product 0, so re (index 0) is decoded
+    # after the pinned si8, 12 steps away: no interval unit codes that leap
+    net = SequentialNet.new(seed=4)
+    net.w2[:] = 0.0
+    net.b2[:] = -700.0
+    assert generate(net, (1, 0, 0, 0), 3, start=p("si8")) == \
+        ((p("si8"), p("re"), p("re")),)
+
+
 def test_generate_state_recurrence():
     # independently replay a generation trace with the raw recurrence
     # s_t = decay*s_{t-1} + code_{t-1} and check it decodes identically
