@@ -4,8 +4,8 @@ feed back as context.
 Per bar each agent runs its net forward and maps the output onto the
 13-pitch gamut through the unit table of its previous note (or offers a
 list of zeros in agent-only mode).  The negotiation picks the legal pair of
-maximal utility from the candidate bits of the bar's legality mask (cached
-on the state's rule key, so the trace's legal count reuses it).  Each agent
+maximal utility from the candidate table of the state's rule key, and the
+trace's legal count reads the legal mask cached on the same key.  Each agent
 then pushes the 19-code ``seqnet`` feeds back for its agreed note into
 its net state.  Dead ends stop the run; there is no backtracking.
 """

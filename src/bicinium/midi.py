@@ -1,9 +1,9 @@
 """Standard MIDI file output for finished duets.
 
-Format 1, 480 ticks per quarter, one track per voice (tempo in the first),
-every note a whole note.  The gamut maps onto D4..B5: MIDI note = 62 plus
-the pitch's semitone offset.  Output bytes depend only on the duet, so
-identical duets give identical files.
+Format 1, 480 ticks per quarter, one track per voice (the tempo, a fixed
+60 bpm, in the first), every note a whole note.  The gamut maps onto
+D4..B5: MIDI note = 62 plus the pitch's semitone offset.  Output bytes
+depend only on the duet, so identical duets give identical files.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ TICKS_PER_QUARTER = 480
 WHOLE_NOTE_TICKS = 4 * TICKS_PER_QUARTER
 BASE_MIDI_NOTE = 62  # re = D4
 _VELOCITY = 80
+_TEMPO_US = 1_000_000  # microseconds per quarter: 60 bpm
 
 
 def _vlq(value: int) -> bytes:
@@ -47,18 +48,17 @@ def _voice_events(voice, tempo_us: int | None) -> bytes:
     return events
 
 
-def duet_to_midi_bytes(voice1, voice2, tempo_bpm: int = 60) -> bytes:
+def duet_to_midi_bytes(voice1, voice2) -> bytes:
     if len(voice1) != len(voice2):
         raise ValueError("voices differ in length")
-    tempo_us = round(60_000_000 / tempo_bpm)
     header = b"MThd" + struct.pack(">IHHH", 6, 1, 2, TICKS_PER_QUARTER)
     return (header
-            + _track(_voice_events(voice1, tempo_us))
+            + _track(_voice_events(voice1, _TEMPO_US))
             + _track(_voice_events(voice2, None)))
 
 
-def write_midi(voice1, voice2, path, tempo_bpm: int = 60) -> None:
-    data = duet_to_midi_bytes(voice1, voice2, tempo_bpm)
+def write_midi(voice1, voice2, path) -> None:
+    data = duet_to_midi_bytes(voice1, voice2)
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     tmp.write_bytes(data)

@@ -7,22 +7,21 @@ The joint utility of a candidate pair is
 
 where cm rewards contrary motion (larger for smaller interval change) and
 match zeroes out anything the rulebook rejects.  Negotiation scores every
-legal one of the 13x13 combinations, read off the rulebook's legality
-mask, and the maximal pair wins, ties broken toward lower voice-1 index,
-then lower voice-2 index.
+legal one of the 13x13 combinations, read with its bonus off one table per
+rule key, and the maximal pair wins, ties broken toward lower voice-1
+index, then lower voice-2 index.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .gamut import GAMUT, Motion, NotePair, motion, signed_interval
-from .rules import DuetState, legal_bits, pair_bit
+from .gamut import Motion, NotePair, motion, signed_interval
+from .rules import _PAIRS, DuetState, _legal_mask, pair_bit
 
 __all__ = ["UtilityWeights", "Agreement", "DeadEnd", "COIN_VALUES",
            "contrary_motion_bonus", "system_utility", "negotiate"]
@@ -93,15 +92,16 @@ def _as_activations(act) -> list[float]:
 
 
 @cache
-def _bonus_row(prev_bit: int) -> array:
-    """Contrary-motion bonus of every candidate, indexed by its bit, after
-    the previous pair of bit ``prev_bit``; all zero at the opening (-1)."""
-    n = len(GAMUT)
-    if prev_bit < 0:
-        return array("d", [0.0] * n * n)
-    prev = (GAMUT[prev_bit // n], GAMUT[prev_bit % n])
-    return array("d", [contrary_motion_bonus(prev, (a, b))
-                       for a in GAMUT for b in GAMUT])
+def _candidates(key: tuple) -> tuple[tuple[int, int, int, float], ...]:
+    """Legal candidates at a state with rule key ``key`` as (bit, voice-1
+    index, voice-2 index, contrary-motion bonus) in ascending bit order.
+    The bonus is 0.0 at the opening (previous-pair bit -1).  Unbounded:
+    there are few keys."""
+    bits = _legal_mask(key)
+    prev = _PAIRS[key[2]] if key[2] >= 0 else None
+    return tuple([(k, pair[0].index, pair[1].index,
+                   contrary_motion_bonus(prev, pair) if prev else 0.0)
+                  for k, pair in enumerate(_PAIRS) if bits >> k & 1])
 
 
 def system_utility(state: DuetState, pair: NotePair, act1, act2,
@@ -112,22 +112,10 @@ def system_utility(state: DuetState, pair: NotePair, act1, act2,
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
     k = pair_bit(pair)
-    if not legal_bits(state) >> k & 1:
-        return 0.0
-    return (act1[pair[0].index] * act2[pair[1].index]
-            + cm_weight * _bonus_row(state._key[2])[k])
-
-
-_TRIPLES = tuple((k, k // len(GAMUT), k % len(GAMUT))
-                 for k in range(len(GAMUT) ** 2))
-
-
-@cache
-def _candidates(bits: int) -> tuple[tuple[int, int, int], ...]:
-    """Candidates of a legality mask as (bit, voice-1 index, voice-2 index)
-    in ascending bit order.  Unbounded: a mask is a function of the rule
-    key, so there are no more masks than keys."""
-    return tuple([t for t in _TRIPLES if bits >> t[0] & 1])
+    for bit, i, j, bonus in _candidates(state._key):
+        if bit == k:
+            return act1[i] * act2[j] + cm_weight * bonus
+    return 0.0
 
 
 def negotiate(state: DuetState, act1, act2,
@@ -143,16 +131,13 @@ def negotiate(state: DuetState, act1, act2,
         raise ValueError(f"cm_weight must be finite, got {cm_weight}")
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
-    row = _bonus_row(state._key[2])
     best = -1
     best_utility = -1.0
-    for k, i, j in _candidates(legal_bits(state)):
-        score = act1[i] * act2[j] + cm_weight * row[k]
+    for k, i, j, bonus in _candidates(state._key):
+        score = act1[i] * act2[j] + cm_weight * bonus
         if score > best_utility:
             best = k
             best_utility = score
     if best < 0:
         return DeadEnd(step=state.position)
-    n = len(GAMUT)
-    return Agreement(pair=(GAMUT[best // n], GAMUT[best % n]),
-                     utility=best_utility)
+    return Agreement(pair=_PAIRS[best], utility=best_utility)

@@ -32,7 +32,7 @@ legal mask they leave, are cached on the state's small rule key
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .gamut import (
@@ -73,15 +73,18 @@ class RuleVerdict:
 class DuetState:
     """Composition-so-far plus the cached counters rules 7 and 10 need.
 
-    The counters are derivable from ``history``; ``append`` keeps them in
-    sync and ``from_history`` rebuilds them from scratch.
+    The constructor takes only ``length`` and, by keyword, ``finalis``,
+    and starts an empty duet.  The history and the counters derived from
+    it grow only through ``append`` (or ``from_history``), so they cannot
+    disagree.
     """
 
     length: int
-    history: tuple[NotePair, ...] = ()
-    finalis: bool = True
-    imperfect_run: tuple[int, int] = (0, 0)  # (family, run length)
-    interior_perfect_count: int = 0
+    history: tuple[NotePair, ...] = field(default=(), init=False)
+    finalis: bool = field(default=True, kw_only=True)
+    # (family, run length)
+    imperfect_run: tuple[int, int] = field(default=(0, 0), init=False)
+    interior_perfect_count: int = field(default=0, init=False)
 
     @property
     def position(self) -> int:
@@ -119,8 +122,14 @@ class DuetState:
         interior = self.interior_perfect_count
         if _PERFECT >> k & 1 and 0 < t < self.length - 1:
             interior += 1
-        return DuetState(self.length, self.history + (pair,), self.finalis,
-                         run, interior)
+        # The constructor sets only length and finalis: fill every field.
+        nxt, put = object.__new__(DuetState), object.__setattr__
+        put(nxt, "length", self.length)
+        put(nxt, "history", self.history + (pair,))
+        put(nxt, "finalis", self.finalis)
+        put(nxt, "imperfect_run", run)
+        put(nxt, "interior_perfect_count", interior)
+        return nxt
 
     @classmethod
     def from_history(cls, length: int, history: tuple[NotePair, ...] = (),

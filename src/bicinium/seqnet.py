@@ -329,7 +329,8 @@ def load_net(path) -> SequentialNet:
     """Read a checkpoint written by ``save_net``.
 
     Raises ValueError naming the file when it is not a checkpoint, is cut
-    short, or holds an array whose shape disagrees with its header.
+    short, or holds an array whose shape disagrees with its header or that
+    holds a NaN or infinite value.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -364,6 +365,8 @@ def load_net(path) -> SequentialNet:
         if values.size != np.prod(shape):
             raise ValueError(f"{path}: {name} holds {values.size} values, "
                              f"shape {shape} needs {np.prod(shape)}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: {name} holds a non-finite value")
         arrays[name] = values.reshape(shape)
     return SequentialNet(plan_size=plan_size, hidden_size=hidden,
                          voices=voices, decay=decay,

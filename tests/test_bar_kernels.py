@@ -4,23 +4,24 @@
 table; ``reference_map_to_gamut`` below is the per-pitch numpy loop it
 replaced, kept as the oracle.  ``encode_note`` and the fed-back 19-codes
 read the same table; ``reference_encode_note`` is the arithmetic encoder
-it replaced.  Negotiation reads candidates from a cache keyed by the
-legality mask and takes activation lists as they are, and the rules
-compute each mask once per rule key.
+it replaced.  Negotiation reads its candidates, each with its bonus, from
+one table per rule key and takes activation lists as they are, and the
+rules compute each mask once per rule key.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicinium import negotiation, rules, seqnet
 from bicinium.cli import main
 from bicinium.composer import CompositionConfig, compose
 from bicinium.gamut import GAMUT, Pitch
-from bicinium.rules import DuetState
+from bicinium.negotiation import contrary_motion_bonus
+from bicinium.rules import DuetState, legal_pairs
 from bicinium.seqnet import (
     NOTE_CODE_SIZE,
     SequentialNet,
@@ -29,6 +30,8 @@ from bicinium.seqnet import (
     map_to_gamut,
     save_net,
 )
+
+from test_rules import any_states
 
 
 def reference_products(out, prev: Pitch | None = None) -> np.ndarray:
@@ -172,29 +175,42 @@ def test_activations_come_back_as_python_floats():
         assert values == [float(v) for v in act]
 
 
-def write_net_with_nan(path, array_name, index):
-    net = SequentialNet.new(seed=1)
-    getattr(net, array_name).flat[index] = math.nan
-    save_net(net, path)
-    return path
-
-
 @pytest.mark.parametrize("array_name,index", [("w1", 0), ("b2", 7),
                                               ("b2", 17)])
 def test_nan_checkpoint_raises_rather_than_dead_ends(tmp_path, capsys,
                                                      array_name, index):
     # b2[7] feeds the re8 degree unit the default opening reads; b2[17]
-    # the ascending unit, first read at the second bar
-    bad = write_net_with_nan(tmp_path / "bad.ckpt", array_name, index)
-    good = tmp_path / "good.ckpt"
-    save_net(SequentialNet.new(seed=2), good)
+    # the ascending unit, first read at the second bar.  In memory, compose
+    # refuses the NaN activations; from a file, load_net refuses the net.
+    bad = SequentialNet.new(seed=1)
+    getattr(bad, array_name).flat[index] = math.nan
+    good = SequentialNet.new(seed=2)
     for start in (CompositionConfig().start_pair, None):
         cfg = CompositionConfig(length=8, start_pair=start)
-        with pytest.raises(ValueError, match="finite"):
-            compose(load_net(bad), load_net(good), cfg)
-    code = main(["compose", "--netA", str(bad), "--netB", str(good)])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            compose(bad, good, cfg)
+    save_net(bad, tmp_path / "bad.ckpt")
+    save_net(good, tmp_path / "good.ckpt")
+    message = f"bad.ckpt: {array_name} holds a non-finite value"
+    with pytest.raises(ValueError, match=message):
+        load_net(tmp_path / "bad.ckpt")
+    code = main(["compose", "--netA", str(tmp_path / "bad.ckpt"),
+                 "--netB", str(tmp_path / "good.ckpt")])
     assert code == 1
-    assert "finite and non-negative" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def negotiated_keys(result, length):
+    """Rule keys of the states a compose negotiated (or scored the start
+    pair) at: one per bar placed, plus the dead end's."""
+    bars = len(result.trace) + (not result.complete)
+    state = DuetState(length)
+    keys = [state._key]
+    for pair in result.pairs[:bars - 1]:
+        state = state.append(pair)
+        keys.append(state._key)
+    assert len(keys) == bars
+    return keys
 
 
 def test_legality_cache_misses_once_per_key():
@@ -202,26 +218,35 @@ def test_legality_cache_misses_once_per_key():
     rules._rule_masks.cache_clear()
     net1, net2 = SequentialNet.new(seed=1), SequentialNet.new(seed=2)
     result = compose(net1, net2, CompositionConfig(length=12, start_pair=None))
-    bars = len(result.trace) + (not result.complete)
-    state = DuetState(12)
-    keys = [state._key]
-    for pair in result.pairs[:bars - 1]:
-        state = state.append(pair)
-        keys.append(state._key)
-    assert len(keys) == bars
+    keys = set(negotiated_keys(result, 12))
     for cached in (rules._legal_mask, rules._rule_masks):
         info = cached.cache_info()
-        assert info.misses == info.currsize == len(set(keys))
+        assert info.misses == info.currsize == len(keys)
 
 
 def test_candidates_cached_no_more_than_keys():
-    rules._legal_mask.cache_clear()
+    # one candidate table per rule key, built on its first use
     negotiation._candidates.cache_clear()
     starts = [None] + [(a, b) for a in GAMUT for b in GAMUT
                        if rules.check_pair(DuetState(2), (a, b)).legal]
+    keys = set()
     for start in starts:
         for length in (2, 5, 9, 14):
-            compose(None, None, CompositionConfig(
+            result = compose(None, None, CompositionConfig(
                 length=length, start_pair=start, agent_only=True))
-    masks = negotiation._candidates.cache_info().currsize
-    assert 0 < masks <= rules._legal_mask.cache_info().currsize
+            keys.update(negotiated_keys(result, length))
+    info = negotiation._candidates.cache_info()
+    assert info.misses == info.currsize == len(keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_states())
+def test_candidate_table_lists_the_legal_pairs_and_their_bonus(state):
+    table = negotiation._candidates(state._key)
+    listed = [(GAMUT[i], GAMUT[j]) for _, i, j, _ in table]
+    assert listed == legal_pairs(state)
+    prev = state.history[-1] if state.history else None
+    for (k, i, j, bonus), pair in zip(table, listed):
+        assert k == i * len(GAMUT) + j
+        assert bonus == (0.0 if prev is None
+                         else contrary_motion_bonus(prev, pair))

@@ -302,16 +302,19 @@ def test_cli_generate_rejects_bad_flags(voices, flags, message, tmp_path,
 
 def test_cli_generate_refuses_nan_checkpoint(tmp_path, capsys):
     # a NaN weight makes every activation NaN; generate used to decode
-    # them as re re re ... and exit 0
+    # them as re re re ... and exit 0.  With the only step pinned and
+    # nothing decoded, it printed re8 and exited 0.
     ckpt = tmp_path / "nan.ckpt"
     net = SequentialNet.new(seed=3)
     net.w1[0, 0] = float("nan")
     save_net(net, ckpt)
-    code = main(["generate", "--net", str(ckpt), "--plan", "1,0,0,0"])
-    captured = capsys.readouterr()
-    assert_one_line_refusal(code, captured.err, "generate",
-                            "activations must be finite and non-negative")
-    assert captured.out == ""
+    for flags in ([], ["--length", "1", "--start", "re8"]):
+        code = main(["generate", "--net", str(ckpt), "--plan", "1,0,0,0",
+                     *flags])
+        captured = capsys.readouterr()
+        assert_one_line_refusal(code, captured.err, "generate",
+                                "nan.ckpt: w1 holds a non-finite value")
+        assert captured.out == ""
 
 
 def test_cli_generate_start_pins_every_voice(tmp_path, capsys):

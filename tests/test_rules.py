@@ -161,10 +161,9 @@ def random_states(draw):
 
 
 @settings(max_examples=200)
-@given(random_states(), note_pair)
-def test_cached_counters_match_recompute(state, pair):
-    # rebuild the rule-7/rule-10 counters by scanning the history and
-    # check the verdict is unchanged
+@given(random_states())
+def test_cached_counters_match_recompute(state):
+    # the rule-7/rule-10 counters equal a scan of the history
     interior = sum(
         1 for t, pr in enumerate(state.history)
         if 0 < t < state.length - 1
@@ -177,10 +176,18 @@ def test_cached_counters_match_recompute(state, pair):
         fam = f
     assert state.interior_perfect_count == interior
     assert state.imperfect_run == (fam, run)
-    rebuilt = DuetState(length=state.length, history=state.history,
-                        finalis=state.finalis, imperfect_run=(fam, run),
-                        interior_perfect_count=interior)
-    assert check_pair(state, pair) == check_pair(rebuilt, pair)
+
+
+def test_constructor_takes_no_history_or_counters():
+    # a history passed in would keep the empty duet's counters and so
+    # disagree with them; only append and from_history grow a state
+    history = pairs("re8 do8 si la", "fa8 mi8 re8 do8")  # four thirds
+    for field, value in (("history", history), ("imperfect_run", (3, 4)),
+                         ("interior_perfect_count", 2)):
+        with pytest.raises(TypeError, match=field):
+            DuetState(8, **{field: value})
+    with pytest.raises(TypeError):
+        DuetState(8, history)  # finalis is keyword-only
 
 
 @settings(max_examples=50)
