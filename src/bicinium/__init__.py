@@ -30,7 +30,6 @@ from .negotiation import (
 )
 from .rules import DuetState, RuleVerdict, check_pair, legal_pairs, validate_duet
 from .seqnet import (
-    NetState,
     SequentialNet,
     encode_note,
     forward,

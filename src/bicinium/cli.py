@@ -138,7 +138,7 @@ def _cmd_compose(args) -> int:
     hashes = ["-", "-"]
     if not args.agent_only:
         if not args.netA or not args.netB:
-            print("compose: --netA and --netB are required without "
+            print("bicinium compose: --netA and --netB are required without "
                   "--agent-only", file=sys.stderr)
             return 2
         nets = [load_net(args.netA), load_net(args.netB)]

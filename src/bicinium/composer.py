@@ -156,7 +156,7 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
         state = state.append(pair)
         for v, note in enumerate(pair):
             if not cfg.agent_only:
-                net_states[v] = step_state(net_states[v],
+                net_states[v] = step_state(nets[v], net_states[v],
                                            _feedback_code(note, prevs[v]))
             prevs[v] = note
 

@@ -70,18 +70,12 @@ def contrary_motion_bonus(prev: NotePair, cur: NotePair) -> float:
 
 
 def _as_activations(act) -> list[float]:
-    # Fast path: a float64 ndarray or a list of floats whose sum is finite
-    # (so no NaN or infinity) and whose minimum is non-negative.
-    if (type(act) is np.ndarray and act.dtype == np.float64
-            and act.shape == (13,)):
-        values = act.tolist()
-    elif (type(act) is list and len(act) == 13
-            and set(map(type, act)) == {float}):
-        values = act
-    else:
-        values = None
-    if values is not None and 0.0 <= min(values) and sum(values) < math.inf:
-        return values
+    # Fast path: a list of floats whose sum is finite (so no NaN or
+    # infinity) and whose minimum is non-negative passes as it is.
+    if (type(act) is list and len(act) == 13
+            and set(map(type, act)) == {float}
+            and 0.0 <= min(act) and sum(act) < math.inf):
+        return act
     act = np.asarray(act, dtype=float)
     if act.shape != (13,):
         raise ValueError(f"activation vector must have shape (13,), got {act.shape}")

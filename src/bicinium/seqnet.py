@@ -23,7 +23,6 @@ from .gamut import GAMUT, Pitch, interval_steps
 __all__ = [
     "NOTE_CODE_SIZE",
     "SequentialNet",
-    "NetState",
     "encode_note",
     "forward",
     "step_state",
@@ -125,10 +124,7 @@ class SequentialNet:
     @classmethod
     def new(cls, plan_size: int = 4, hidden_size: int = 15, voices: int = 1,
             decay: float = 0.7, seed: int = 0) -> "SequentialNet":
-        if not 0 <= decay < 1:
-            raise ValueError("decay must be in [0, 1)")
-        if hidden_size < 1:
-            raise ValueError(f"hidden_size must be at least 1, got {hidden_size}")
+        _check_limits(hidden_size, voices, decay)
         rng = np.random.default_rng(seed)
         out = voices * NOTE_CODE_SIZE
         def init(*shape):
@@ -137,30 +133,33 @@ class SequentialNet:
                    w1=init(hidden_size, plan_size + out), b1=init(hidden_size),
                    w2=init(out, hidden_size), b2=init(out))
 
-    def fresh_state(self) -> "NetState":
-        return NetState(np.zeros(self.output_size), self.decay)
+    def fresh_state(self) -> np.ndarray:
+        return np.zeros(self.output_size)
 
 
-@dataclass(frozen=True)
-class NetState:
-    """Decaying accumulator of past output codes."""
+def _check_limits(hidden_size: int, voices: int, decay: float) -> None:
+    """The limits of a net, whether built by ``new`` or read from a file."""
+    if hidden_size < 1:
+        raise ValueError(f"hidden_size must be at least 1, got {hidden_size}")
+    if voices < 1:
+        raise ValueError(f"voices must be at least 1, got {voices}")
+    if not 0 <= decay < 1:
+        raise ValueError(f"decay must be in [0, 1), got {decay}")
 
-    state_units: np.ndarray
-    decay: float
 
-
-def step_state(state: NetState, out: np.ndarray) -> NetState:
-    """s' = decay * s + out, elementwise."""
+def step_state(net: SequentialNet, state: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """s' = decay * s + out, elementwise, with the net's decay."""
     out = np.asarray(out, dtype=float)
-    if out.shape != state.state_units.shape:
+    if out.shape != state.shape:
         raise ValueError("state/output length mismatch")
-    return NetState(state.decay * state.state_units + out, state.decay)
+    return net.decay * state + out
 
 
 def forward(net: SequentialNet, plan: np.ndarray,
-            state: NetState | np.ndarray) -> np.ndarray:
+            state: np.ndarray) -> np.ndarray:
     """One forward pass; returns the output activations in (0, 1)."""
-    units = state.state_units if isinstance(state, NetState) else np.asarray(state)
+    units = np.asarray(state)
     plan = np.asarray(plan, dtype=float)
     if plan.shape != (net.plan_size,):
         raise ValueError(f"plan must have shape ({net.plan_size},)")
@@ -171,7 +170,7 @@ def forward(net: SequentialNet, plan: np.ndarray,
     return _sigmoid(net.w2 @ hidden + net.b2)
 
 
-def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> np.ndarray:
+def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> list[float]:
     """Combine one 19-block of activations into 13 per-pitch expectations.
 
     Each gamut pitch is scored by the product of its degree-wheel
@@ -179,8 +178,8 @@ def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> np.ndarray:
     note, and the activation of the movement direction (a pitch beyond
     the 8 interval units scores 0); the vector is then normalized to peak
     at 1 (all-zero passes through).  The products run on Python floats,
-    in that order, over the unit table of ``prev``; a product that is not
-    finite and non-negative (a NaN weight, say) raises ValueError.
+    in that order, over the unit table of ``prev``, into a list; a product
+    that is not finite and non-negative (a NaN weight, say) raises ValueError.
     """
     out = np.asarray(out, dtype=float)
     if out.shape != (NOTE_CODE_SIZE,):
@@ -193,12 +192,13 @@ def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> np.ndarray:
     peak = max(acts)
     if peak > 0:
         acts = [a / peak for a in acts]
-    return np.array(acts)
+    return acts
 
 
 def decode_pitch(out_block: np.ndarray, prev: Pitch | None = None) -> Pitch:
     """Argmax decode of one 19-block (ties to the lowest pitch index)."""
-    return GAMUT[int(np.argmax(map_to_gamut(out_block, prev)))]
+    acts = map_to_gamut(out_block, prev)
+    return GAMUT[acts.index(max(acts))]
 
 
 def _encode_melody(voices: tuple, net: SequentialNet) -> np.ndarray:
@@ -304,7 +304,7 @@ def generate(net: SequentialNet, plan, length: int,
             voices[v].append(pitch)
             feedback.append(_feedback_code(pitch, prev[v]))
             prev[v] = pitch
-        state = step_state(state, np.concatenate(feedback))
+        state = step_state(net, state, np.concatenate(feedback))
     return tuple(tuple(v) for v in voices)
 
 
@@ -329,8 +329,9 @@ def load_net(path) -> SequentialNet:
     """Read a checkpoint written by ``save_net``.
 
     Raises ValueError naming the file when it is not a checkpoint, is cut
-    short, or holds an array whose shape disagrees with its header or that
-    holds a NaN or infinite value.
+    short, has a header outside the limits ``SequentialNet.new`` keeps, or
+    holds an array whose shape disagrees with its header or that holds a
+    NaN or infinite value.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -352,6 +353,10 @@ def load_net(path) -> SequentialNet:
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: truncated or malformed checkpoint "
                          f"({exc!r})") from None
+    try:
+        _check_limits(hidden, voices, decay)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     out = voices * NOTE_CODE_SIZE
     expected = {"w1": (hidden, plan_size + out), "b1": (hidden,),
                 "w2": (out, hidden), "b2": (out,)}

@@ -167,10 +167,10 @@ def test_criterion_6_state_recurrence():
         out = forward(net, plan, state)
         ok = ok and decode_pitch(out, prev) == note
         code = encode_note(note, prev)
-        from bicinium.seqnet import NetState, step_state
-        internal = step_state(NetState(state, 0.7), out * 0 + code)
+        from bicinium.seqnet import step_state
+        internal = step_state(net, state, out * 0 + code)
         manual = 0.7 * state + code
-        worst = max(worst, float(np.max(np.abs(internal.state_units - manual))))
+        worst = max(worst, float(np.max(np.abs(internal - manual))))
         state = manual
         prev = note
     report(6, ok and worst <= 1e-12,

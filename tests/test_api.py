@@ -7,7 +7,7 @@ import bicinium
 
 PUBLIC = [
     "Agreement", "CompositionConfig", "CompositionResult", "Corpus", "DeadEnd",
-    "DuetState", "GAMUT", "IntervalQuality", "Motion", "NetState", "NotePair",
+    "DuetState", "GAMUT", "IntervalQuality", "Motion", "NotePair",
     "Pitch", "RuleVerdict", "SequentialNet", "StepTrace", "UtilityWeights",
     "check_pair", "compose", "contrary_motion_bonus", "encode_note", "forward",
     "generate", "interval_quality", "interval_steps", "legal_pairs",

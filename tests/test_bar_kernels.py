@@ -84,9 +84,9 @@ any_floats = st.lists(st.floats(width=64) | tied, min_size=19, max_size=19)
 
 
 def assert_bit_identical(got, want):
-    assert type(got) is np.ndarray and got.dtype == np.float64
-    assert got.shape == (13,)
-    assert got.tobytes() == want.tobytes()
+    assert type(got) is list and len(got) == 13
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == want.tobytes()
 
 
 @given(blocks, previous)
@@ -119,6 +119,14 @@ def test_map_to_gamut_all_zero_and_all_tied(prev):
         block = np.full(NOTE_CODE_SIZE, value)
         assert_bit_identical(map_to_gamut(block, prev),
                              reference_map_to_gamut(block, prev))
+
+
+@pytest.mark.parametrize("prev", GAMUT + (None,))
+def test_map_to_gamut_list_passes_negotiation_as_it_is(prev):
+    for block in (np.full(NOTE_CODE_SIZE, 0.5), np.zeros(NOTE_CODE_SIZE),
+                  np.linspace(0.1, 1, NOTE_CODE_SIZE)):
+        acts = map_to_gamut(block, prev)
+        assert negotiation._as_activations(acts) is acts
 
 
 @pytest.mark.parametrize("prev", GAMUT + (None,))

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -276,6 +277,8 @@ def assert_one_line_refusal(code, err, command, message):
     (["--lr", "-0.5"], "learning rate must be finite and non-negative"),
     (["--hidden", "-1"], "hidden_size must be at least 1, got -1"),
     (["--hidden", "0"], "hidden_size must be at least 1, got 0"),
+    (["--decay", "1"], "decay must be in [0, 1), got 1.0"),
+    (["--decay", "-0.1"], "decay must be in [0, 1), got -0.1"),
 ])
 def test_cli_train_rejects_bad_flags(flags, message, tmp_path, capsys):
     out = tmp_path / "net.ckpt"
@@ -317,6 +320,34 @@ def test_cli_generate_refuses_nan_checkpoint(tmp_path, capsys):
         assert captured.out == ""
 
 
+def _shrunk(net, **sizes):
+    """``net`` with the given header sizes and arrays cut to match them."""
+    plan, hidden = net.plan_size, sizes.get("hidden_size", net.hidden_size)
+    out = sizes.get("voices", net.voices) * 19
+    return replace(net, **sizes, w1=net.w1[:hidden, :plan + out],
+                   b1=net.b1[:hidden], w2=net.w2[:out, :hidden],
+                   b2=net.b2[:out])
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ({"decay": 5.0}, "decay must be in [0, 1), got 5.0"),
+    ({"decay": -1.0}, "decay must be in [0, 1), got -1.0"),
+    ({"decay": float("nan")}, "decay must be in [0, 1), got nan"),
+    ({"hidden_size": 0}, "hidden_size must be at least 1, got 0"),
+    ({"voices": 0}, "voices must be at least 1, got 0"),
+], ids=["decay-5", "decay-minus-1", "decay-nan", "hidden-0", "voices-0"])
+def test_cli_generate_refuses_header_outside_limits(sizes, message, tmp_path,
+                                                    capsys):
+    # each used to print notes and exit 0, or fail without naming the file
+    ckpt = tmp_path / "bad.ckpt"
+    save_net(_shrunk(SequentialNet.new(seed=3), **sizes), ckpt)
+    code = main(["generate", "--net", str(ckpt), "--plan", "1,0,0,0"])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "generate",
+                            f"bad.ckpt: {message}")
+    assert captured.out == ""
+
+
 def test_cli_generate_start_pins_every_voice(tmp_path, capsys):
     ckpt = tmp_path / "duet.ckpt"
     net = SequentialNet.new(voices=2, seed=3)
@@ -343,6 +374,18 @@ def test_cli_compose_start_needs_two_pitches(start, capsys):
 def test_cli_start_refuses_unknown_pitch(capsys):
     assert main(["compose", "--agent-only", "--start", "re8:xx"]) == 2
     assert "--start: unknown pitch token 'xx'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_net_a", [False, True])
+def test_cli_compose_needs_both_nets(with_net_a, tmp_path, capsys):
+    ckpt = tmp_path / "net.ckpt"
+    save_net(SequentialNet.new(seed=1), ckpt)
+    code = main(["compose", *(["--netA", str(ckpt)] if with_net_a else [])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("bicinium compose: --netA and --netB are required "
+                            "without --agent-only\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("two_voice", ["net1", "net2"])

@@ -87,18 +87,21 @@ def test_forward_deterministic():
 def test_step_state_formula():
     net = SequentialNet.new(decay=0.7, seed=0)
     state = net.fresh_state()
-    state = step_state(state, np.full(19, 0.5))
-    state = step_state(state, np.full(19, 0.5))
+    assert type(state) is np.ndarray and np.array_equal(state, np.zeros(19))
+    state = step_state(net, state, np.full(19, 0.5))
+    state = step_state(net, state, np.full(19, 0.5))
     # s2 = 0.7*0.5 + 0.5
-    assert np.allclose(state.state_units, 0.85)
-    one = step_state(type(state)(np.full(19, 1.0), 0.7), np.full(19, 0.5))
-    assert np.allclose(one.state_units, 1.2)
+    assert np.allclose(state, 0.85)
+    one = step_state(net, np.full(19, 1.0), np.full(19, 0.5))
+    assert np.allclose(one, 1.2)
+    with pytest.raises(ValueError, match="length mismatch"):
+        step_state(net, state, np.zeros(18))
 
 
 def test_step_state_degenerate_decay():
-    state = step_state(SequentialNet.new(decay=0.0, seed=0).fresh_state(),
-                       np.arange(19.0))
-    assert np.array_equal(state.state_units, np.arange(19.0))
+    net = SequentialNet.new(decay=0.0, seed=0)
+    state = step_state(net, net.fresh_state(), np.arange(19.0))
+    assert np.array_equal(state, np.arange(19.0))
 
 
 def test_map_to_gamut_interval_veto(p):
@@ -114,21 +117,25 @@ def test_map_to_gamut_first_note(p):
     out = np.zeros(19)
     out[0] = 1.0
     acts = map_to_gamut(out)
-    winners = {GAMUT[i].name for i in np.flatnonzero(acts == acts.max())}
+    winners = {GAMUT[i].name for i, a in enumerate(acts) if a == max(acts)}
     assert winners == {"re"}
     out = np.zeros(19)
     out[7] = 1.0
     assert decode_pitch(out) == p("re8")
 
 
-def test_map_to_gamut_all_zero():
-    assert np.array_equal(map_to_gamut(np.zeros(19)), np.zeros(13))
+def test_map_to_gamut_all_zero(p):
+    assert map_to_gamut(np.zeros(19)) == [0.0] * 13
+    # every pitch ties at zero, and the first (lowest) one wins
+    assert decode_pitch(np.zeros(19)) == p("re")
+    assert decode_pitch(np.zeros(19), p("sol")) == p("re")
 
 
 def test_map_to_gamut_normalized():
     rng = np.random.default_rng(0)
     acts = map_to_gamut(rng.uniform(0.1, 1, 19), GAMUT[5])
-    assert acts.max() == pytest.approx(1.0)
+    assert type(acts) is list and len(acts) == 13
+    assert max(acts) == pytest.approx(1.0)
 
 
 @given(gamut_pitch, gamut_pitch)
@@ -236,6 +243,11 @@ def test_generate_state_recurrence():
         assert decode_pitch(block, prev) == note
         state = 0.7 * state + encode_note(note, prev)
         prev = note
+
+
+def test_new_rejects_a_net_without_voices():
+    with pytest.raises(ValueError, match="voices must be at least 1, got 0"):
+        SequentialNet.new(voices=0)
 
 
 def test_checkpoint_roundtrip(tmp_path):
