@@ -86,6 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    # The checkpoint and the curve are written after training; a path that
+    # cannot be written should not cost the whole run.
+    for path in filter(None, (args.out, args.curve)):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ValueError(f"{path}: not a file in an existing directory")
     corpus = load_corpus(args.corpus)
     net = SequentialNet.new(hidden_size=args.hidden, voices=corpus.voices,
                             decay=args.decay, seed=args.seed)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gamut import GAMUT, NotePair, Pitch, pitch_from_name
 from .negotiation import (
     COIN_VALUES,
@@ -49,6 +47,8 @@ class CompositionConfig:
     def __post_init__(self):
         if self.length < 2:
             raise ValueError("length must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.start_pair is not None and len(self.start_pair) != 2:
             raise ValueError("start needs one pitch per voice (2)")
 
@@ -108,16 +108,19 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
                 raise ValueError(f"{name} is a {net.voices}-voice net; each "
                                  "agent needs a one-voice net")
     # Only the coin toss draws from the generator, so a fixed weight skips
-    # building one.
+    # building one, and with it the import of numpy.
     coin_toss = cfg.weights.mode == "coin_toss"
-    rng = np.random.default_rng(cfg.seed) if coin_toss else None
+    if coin_toss:
+        from numpy.random import default_rng
+        rng = default_rng(cfg.seed)
     nets = (net1, net2)
-    plans = (np.asarray(cfg.plan1, dtype=float),
-             np.asarray(cfg.plan2, dtype=float))
     if cfg.agent_only:
         # A list, not an ndarray: negotiation takes a list of floats as is.
         zero = [0.0] * len(GAMUT)
     else:
+        import numpy as np
+        plans = (np.asarray(cfg.plan1, dtype=float),
+                 np.asarray(cfg.plan2, dtype=float))
         net_states = [net1.fresh_state(), net2.fresh_state()]
     prevs: list[Pitch | None] = [None, None]
 

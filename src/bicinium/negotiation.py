@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from .gamut import Motion, NotePair, motion, signed_interval
 from .rules import _PAIRS, DuetState, _legal_mask, pair_bit
 
@@ -76,6 +74,7 @@ def _as_activations(act) -> list[float]:
             and set(map(type, act)) == {float}
             and 0.0 <= min(act) and sum(act) < math.inf):
         return act
+    import numpy as np
     act = np.asarray(act, dtype=float)
     if act.shape != (13,):
         raise ValueError(f"activation vector must have shape (13,), got {act.shape}")

@@ -7,6 +7,9 @@ direction of movement.  The input layer holds the plan units (a fixed
 label per melody) next to state units that accumulate decayed copies of
 past notes; hidden and output units are logistic.  A two-voice net simply
 doubles the code: 38 output/state units, one 19-block per voice.
+
+numpy is imported inside the functions that use it, so the rules, the
+agents and the command line can import this module without loading numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-
-import numpy as np
 
 from .gamut import GAMUT, Pitch, interval_steps
 
@@ -40,6 +41,7 @@ _ASCEND, _DESCEND = 17, 18
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    import numpy as np
     return 1.0 / (1.0 + np.exp(-z))
 
 
@@ -95,6 +97,7 @@ def _feedback_code(note: Pitch, prev: Pitch | None) -> np.ndarray:
 
 @cache
 def _code(note: int, slot: int) -> np.ndarray:
+    import numpy as np
     units = _GAMUT_UNITS[slot][note]
     if units[0] == _ZERO:
         units = _GAMUT_UNITS[13][note]
@@ -124,7 +127,10 @@ class SequentialNet:
     @classmethod
     def new(cls, plan_size: int = 4, hidden_size: int = 15, voices: int = 1,
             decay: float = 0.7, seed: int = 0) -> "SequentialNet":
-        _check_limits(hidden_size, voices, decay)
+        import numpy as np
+        _check_limits(plan_size, hidden_size, voices, decay)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         out = voices * NOTE_CODE_SIZE
         def init(*shape):
@@ -134,11 +140,15 @@ class SequentialNet:
                    w2=init(out, hidden_size), b2=init(out))
 
     def fresh_state(self) -> np.ndarray:
+        import numpy as np
         return np.zeros(self.output_size)
 
 
-def _check_limits(hidden_size: int, voices: int, decay: float) -> None:
+def _check_limits(plan_size: int, hidden_size: int, voices: int,
+                  decay: float) -> None:
     """The limits of a net, whether built by ``new`` or read from a file."""
+    if plan_size < 1:
+        raise ValueError(f"plan_size must be at least 1, got {plan_size}")
     if hidden_size < 1:
         raise ValueError(f"hidden_size must be at least 1, got {hidden_size}")
     if voices < 1:
@@ -150,6 +160,7 @@ def _check_limits(hidden_size: int, voices: int, decay: float) -> None:
 def step_state(net: SequentialNet, state: np.ndarray,
                out: np.ndarray) -> np.ndarray:
     """s' = decay * s + out, elementwise, with the net's decay."""
+    import numpy as np
     out = np.asarray(out, dtype=float)
     if out.shape != state.shape:
         raise ValueError("state/output length mismatch")
@@ -159,6 +170,7 @@ def step_state(net: SequentialNet, state: np.ndarray,
 def forward(net: SequentialNet, plan: np.ndarray,
             state: np.ndarray) -> np.ndarray:
     """One forward pass; returns the output activations in (0, 1)."""
+    import numpy as np
     units = np.asarray(state)
     plan = np.asarray(plan, dtype=float)
     if plan.shape != (net.plan_size,):
@@ -181,6 +193,7 @@ def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> list[float]:
     in that order, over the unit table of ``prev``, into a list; a product
     that is not finite and non-negative (a NaN weight, say) raises ValueError.
     """
+    import numpy as np
     out = np.asarray(out, dtype=float)
     if out.shape != (NOTE_CODE_SIZE,):
         raise ValueError("expected one 19-unit block")
@@ -203,6 +216,7 @@ def decode_pitch(out_block: np.ndarray, prev: Pitch | None = None) -> Pitch:
 
 def _encode_melody(voices: tuple, net: SequentialNet) -> np.ndarray:
     """Per-step target codes of a melody, one row per time step."""
+    import numpy as np
     length = len(voices[0])
     rows = []
     for t in range(length):
@@ -218,6 +232,7 @@ def _teacher_samples(net: SequentialNet, corpus):
     inputs do not depend on the weights, so training reduces to plain
     backprop over a fixed sample set.
     """
+    import numpy as np
     inputs, targets = [], []
     for plan, voices in corpus:
         plan = np.asarray(plan, dtype=float)
@@ -236,6 +251,7 @@ def _teacher_samples(net: SequentialNet, corpus):
 
 def _sample_gradients(net: SequentialNet, x: np.ndarray, target: np.ndarray):
     """Backprop gradients of 0.5*||o - target||^2 for one sample."""
+    import numpy as np
     z1 = net.w1 @ x + net.b1
     h = _sigmoid(z1)
     o = _sigmoid(net.w2 @ h + net.b2)
@@ -252,6 +268,7 @@ def train(net: SequentialNet, corpus, epochs: int = 500,
     output units), measured on each sample before its update.  A learning
     rate of 0 leaves the weights as they are.
     """
+    import numpy as np
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
     if not 0 <= learning_rate < np.inf:
@@ -282,6 +299,7 @@ def generate(net: SequentialNet, plan, length: int,
     the state units.  `start` pins the first note (a pitch, or a tuple of
     pitches for a multi-voice net).
     """
+    import numpy as np
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
     plan = np.asarray(plan, dtype=float)
@@ -333,6 +351,7 @@ def load_net(path) -> SequentialNet:
     holds an array whose shape disagrees with its header or that holds a
     NaN or infinite value.
     """
+    import numpy as np
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
@@ -354,7 +373,7 @@ def load_net(path) -> SequentialNet:
         raise ValueError(f"{path}: truncated or malformed checkpoint "
                          f"({exc!r})") from None
     try:
-        _check_limits(hidden, voices, decay)
+        _check_limits(plan_size, hidden, voices, decay)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     out = voices * NOTE_CODE_SIZE

@@ -79,6 +79,12 @@ def test_compose_rejects_illegal_start_pair(p):
         compose(None, None, cfg)
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "coin_toss"])
+def test_config_rejects_negative_seed(mode):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        CompositionConfig(seed=-1, weights=UtilityWeights(mode=mode))
+
+
 @pytest.mark.parametrize("start", ["re8", "re8 la8 re8"])
 def test_config_start_pair_needs_two_pitches(start):
     with pytest.raises(ValueError, match=r"one pitch per voice \(2\)"):

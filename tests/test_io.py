@@ -279,6 +279,7 @@ def assert_one_line_refusal(code, err, command, message):
     (["--hidden", "0"], "hidden_size must be at least 1, got 0"),
     (["--decay", "1"], "decay must be in [0, 1), got 1.0"),
     (["--decay", "-0.1"], "decay must be in [0, 1), got -0.1"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
 ])
 def test_cli_train_rejects_bad_flags(flags, message, tmp_path, capsys):
     out = tmp_path / "net.ckpt"
@@ -286,6 +287,39 @@ def test_cli_train_rejects_bad_flags(flags, message, tmp_path, capsys):
                  "--out", str(out), *flags])
     assert_one_line_refusal(code, capsys.readouterr().err, "train", message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out,curve", [
+    ("missing/dir/net.ckpt", None), ("net.ckpt", "missing/curve.csv"),
+    ("existing", None)])
+def test_cli_train_checks_output_paths_before_training(
+        out, curve, tmp_path, monkeypatch, capsys):
+    # save_net and the curve run after training, which used to finish
+    # before a missing directory, or a directory given as the file, failed
+    # the command
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing").mkdir()
+    ran = []
+    monkeypatch.setattr("bicinium.cli.train", lambda *a, **k: ran.append(a))
+    code = main(["train", "--corpus", str(data_path("cantus_one_voice.txt")),
+                 "--out", out, *(["--curve", curve] if curve else [])])
+    assert_one_line_refusal(code, capsys.readouterr().err, "train",
+                            f"{curve or out}: not a file in an existing "
+                            "directory")
+    assert ran == [] and [p.name for p in tmp_path.iterdir()] == ["existing"]
+
+
+@pytest.mark.parametrize("mode", ["det", "coin"])
+def test_cli_compose_refuses_negative_seed(mode, tmp_path, capsys):
+    # coin mode used to fail with numpy's "expected non-negative integer",
+    # and det mode wrote seed=-1 into the trace and exited 0
+    trace = tmp_path / "trace.csv"
+    code = main(["compose", "--agent-only", "--mode", mode, "--seed", "-1",
+                 "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "compose",
+                            "seed must be non-negative, got -1")
+    assert captured.out == "" and not trace.exists()
 
 
 @pytest.mark.parametrize("voices,flags,message", [
@@ -322,7 +356,8 @@ def test_cli_generate_refuses_nan_checkpoint(tmp_path, capsys):
 
 def _shrunk(net, **sizes):
     """``net`` with the given header sizes and arrays cut to match them."""
-    plan, hidden = net.plan_size, sizes.get("hidden_size", net.hidden_size)
+    plan = sizes.get("plan_size", net.plan_size)
+    hidden = sizes.get("hidden_size", net.hidden_size)
     out = sizes.get("voices", net.voices) * 19
     return replace(net, **sizes, w1=net.w1[:hidden, :plan + out],
                    b1=net.b1[:hidden], w2=net.w2[:out, :hidden],
@@ -335,7 +370,10 @@ def _shrunk(net, **sizes):
     ({"decay": float("nan")}, "decay must be in [0, 1), got nan"),
     ({"hidden_size": 0}, "hidden_size must be at least 1, got 0"),
     ({"voices": 0}, "voices must be at least 1, got 0"),
-], ids=["decay-5", "decay-minus-1", "decay-nan", "hidden-0", "voices-0"])
+    ({"plan_size": -4}, "plan_size must be at least 1, got -4"),
+    ({"plan_size": 0}, "plan_size must be at least 1, got 0"),
+], ids=["decay-5", "decay-minus-1", "decay-nan", "hidden-0", "voices-0",
+        "plan-minus-4", "plan-0"])
 def test_cli_generate_refuses_header_outside_limits(sizes, message, tmp_path,
                                                     capsys):
     # each used to print notes and exit 0, or fail without naming the file

@@ -250,6 +250,11 @@ def test_new_rejects_a_net_without_voices():
         SequentialNet.new(voices=0)
 
 
+def test_new_rejects_a_net_without_plan_units():
+    with pytest.raises(ValueError, match="plan_size must be at least 1, got 0"):
+        SequentialNet.new(plan_size=0)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     net = SequentialNet.new(hidden_size=7, voices=2, decay=0.65, seed=42)
     path = tmp_path / "net.txt"
