@@ -66,8 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="compose a duet by negotiation")
     p.add_argument("--netA")
     p.add_argument("--netB")
-    p.add_argument("--plan1", type=_plan, default=(0.8, 0.0, 0.8, 0.0))
-    p.add_argument("--plan2", type=_plan, default=(0.0, 1.0, 0.0, 1.0))
+    p.add_argument("--plan1", type=_plan,
+                   help="plan of net A (default 0.8,0,0.8,0)")
+    p.add_argument("--plan2", type=_plan,
+                   help="plan of net B (default 0,1,0,1)")
     p.add_argument("--length", type=int, default=8)
     p.add_argument("--mode", choices=("det", "coin"), default="det")
     p.add_argument("--cm-weight", type=float, default=1.0)
@@ -141,6 +143,14 @@ def _write_trace(path, args, result, net_hashes) -> None:
 def _cmd_compose(args) -> int:
     nets = [None, None]
     hashes = ["-", "-"]
+    if args.agent_only and (args.plan1 is not None or args.plan2 is not None):
+        print("bicinium compose: --plan1 and --plan2 set the nets' plans "
+              "and cannot be used with --agent-only", file=sys.stderr)
+        return 2
+    if args.plan1 is None:
+        args.plan1 = (0.8, 0.0, 0.8, 0.0)
+    if args.plan2 is None:
+        args.plan2 = (0.0, 1.0, 0.0, 1.0)
     if not args.agent_only:
         if not args.netA or not args.netB:
             print("bicinium compose: --netA and --netB are required without "

@@ -24,8 +24,8 @@ from .negotiation import (
     system_utility,
 )
 from .rules import DuetState, check_pair, legal_bits
-from .seqnet import (SequentialNet, _feedback_code, forward, map_to_gamut,
-                     step_state)
+from .seqnet import (MAX_LENGTH, SequentialNet, _feedback_code, forward,
+                     map_to_gamut, step_state)
 
 __all__ = ["CompositionConfig", "StepTrace", "CompositionResult",
            "draw_step_weight", "compose"]
@@ -47,6 +47,9 @@ class CompositionConfig:
     def __post_init__(self):
         if self.length < 2:
             raise ValueError("length must be at least 2")
+        if self.length > MAX_LENGTH:
+            raise ValueError(f"length must be at most {MAX_LENGTH}, "
+                             f"got {self.length}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.start_pair is not None and len(self.start_pair) != 2:

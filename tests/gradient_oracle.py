@@ -1,14 +1,49 @@
-"""Batch gradient and loss for the finite-difference gradient checks.
+"""Reference backprop: per-sample gradients, the plain training loop, and
+the batch gradient and loss for the finite-difference gradient checks.
 
-``batch_gradients`` averages the per-sample backprop gradients that
-``seqnet.train`` applies; ``batch_loss`` is the mean loss they
-differentiate, computed by plain forward passes.  The checks compare the
-first with central differences of the second.
+``_sample_gradients`` and ``reference_train`` are the allocating
+per-sample formulas ``seqnet.train`` started from; ``train`` must match
+``reference_train`` bit for bit.  ``batch_gradients`` averages the
+per-sample gradients; ``batch_loss`` is the mean loss they differentiate,
+computed by plain forward passes.  The checks compare the first with
+central differences of the second.
 """
 
 import numpy as np
 
-from bicinium.seqnet import SequentialNet, _sample_gradients, forward
+from bicinium.seqnet import SequentialNet, _teacher_samples, forward
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _sample_gradients(net: SequentialNet, x: np.ndarray, target: np.ndarray):
+    """Backprop gradients of 0.5*||o - target||^2 for one sample."""
+    z1 = net.w1 @ x + net.b1
+    h = _sigmoid(z1)
+    o = _sigmoid(net.w2 @ h + net.b2)
+    dz2 = (o - target) * o * (1.0 - o)
+    dz1 = (net.w2.T @ dz2) * h * (1.0 - h)
+    return (np.outer(dz1, x), dz1, np.outer(dz2, h), dz2), o
+
+
+def reference_train(net: SequentialNet, corpus, epochs: int,
+                    learning_rate: float) -> list[float]:
+    """Online backprop, one allocating gradient per sample, in place."""
+    inputs, targets = _teacher_samples(net, corpus)
+    curve = []
+    for _ in range(epochs):
+        sq = 0.0
+        for x, t in zip(inputs, targets):
+            (dw1, db1, dw2, db2), o = _sample_gradients(net, x, t)
+            sq += float(np.mean((o - t) ** 2))
+            net.w1 -= learning_rate * dw1
+            net.b1 -= learning_rate * db1
+            net.w2 -= learning_rate * dw2
+            net.b2 -= learning_rate * db2
+        curve.append(sq / len(inputs))
+    return curve
 
 
 def batch_gradients(net: SequentialNet, inputs: np.ndarray,

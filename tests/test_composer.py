@@ -5,7 +5,7 @@ from bicinium.composer import CompositionConfig, compose, draw_step_weight
 from bicinium.negotiation import COIN_VALUES, UtilityWeights
 from bicinium.gamut import GAMUT
 from bicinium.rules import DuetState, check_pair, validate_duet
-from bicinium.seqnet import SequentialNet, encode_note, train
+from bicinium.seqnet import MAX_LENGTH, SequentialNet, encode_note, train
 
 from conftest import pitches
 from test_negotiation import brute_force_argmax
@@ -83,6 +83,15 @@ def test_compose_rejects_illegal_start_pair(p):
 def test_config_rejects_negative_seed(mode):
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         CompositionConfig(seed=-1, weights=UtilityWeights(mode=mode))
+
+
+def test_config_caps_the_length():
+    # only the config is built: no composition runs
+    assert CompositionConfig(length=MAX_LENGTH).length == MAX_LENGTH
+    for length in (MAX_LENGTH + 1, 10**20):
+        with pytest.raises(ValueError, match=f"length must be at most "
+                                             f"{MAX_LENGTH}, got {length}"):
+            CompositionConfig(length=length)
 
 
 @pytest.mark.parametrize("start", ["re8", "re8 la8 re8"])

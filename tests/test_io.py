@@ -426,6 +426,39 @@ def test_cli_compose_needs_both_nets(with_net_a, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("plans", [["--plan1", "1 2"], ["--plan2", "0,1,0,1"],
+                                   ["--plan1", "0.8,0,0.8,0",
+                                    "--plan2", "0,1,0,1"]])
+def test_cli_compose_agent_only_refuses_plans(plans, tmp_path, capsys):
+    # agent-only runs no net, so a plan given there would be ignored
+    trace = tmp_path / "trace.csv"
+    code = main(["compose", "--agent-only", *plans, "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("bicinium compose: --plan1 and --plan2 set the "
+                            "nets' plans and cannot be used with "
+                            "--agent-only\n")
+    assert captured.out == ""
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "--agent-only", "--length", "1001"],
+    ["compose", "--agent-only", "--length", "100000000000000000000"],
+    ["generate", "--plan", "1,0,0,0", "--length", "1001"],
+])
+def test_cli_refuses_length_above_the_cap(argv, tmp_path, capsys):
+    if argv[0] == "generate":
+        ckpt = tmp_path / "net.ckpt"
+        save_net(SequentialNet.new(seed=1), ckpt)
+        argv = [*argv, "--net", str(ckpt)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, argv[0],
+                            "length must be at most 1000, got")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("two_voice", ["net1", "net2"])
 def test_cli_compose_rejects_two_voice_net(two_voice, tmp_path, capsys):
     paths = []

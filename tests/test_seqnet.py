@@ -1,8 +1,11 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicinium.corpus import parse_corpus
 from bicinium.gamut import GAMUT, pitch_from_name
 from bicinium.seqnet import (
     NOTE_CODE_SIZE,
@@ -18,7 +21,7 @@ from bicinium.seqnet import (
     train,
 )
 
-from gradient_oracle import batch_gradients, batch_loss
+from gradient_oracle import batch_gradients, batch_loss, reference_train
 
 gamut_pitch = st.sampled_from(GAMUT)
 
@@ -169,6 +172,32 @@ def test_gradients_match_finite_differences():
     rel = np.linalg.norm(num - ana) / max(np.linalg.norm(num),
                                           np.linalg.norm(ana))
     assert rel <= 1e-5
+
+
+@pytest.mark.parametrize("learning_rate", [2.0, 0.0])
+@pytest.mark.parametrize("hidden", [8, 15, 24])
+@pytest.mark.parametrize("corpus_file", ["cantus_one_voice.txt",
+                                         "duets_two_voice.txt"])
+def test_train_matches_reference_loop_bit_for_bit(corpus_file, hidden,
+                                                  learning_rate):
+    text = (resources.files("bicinium.data") / corpus_file).read_text()
+    corpus = parse_corpus(text)
+    samples = corpus.training_set()
+    net = SequentialNet.new(hidden_size=hidden, voices=corpus.voices,
+                            seed=hidden)
+    ref = SequentialNet.new(hidden_size=hidden, voices=corpus.voices,
+                            seed=hidden)
+    arrays = (net.w1, net.b1, net.w2, net.b2)
+    curve = train(net, samples, epochs=4, learning_rate=learning_rate)
+    expected = reference_train(ref, samples, epochs=4,
+                               learning_rate=learning_rate)
+    assert all(type(v) is float for v in curve)
+    assert [v.hex() for v in curve] == [v.hex() for v in expected]
+    for name, before in zip(("w1", "b1", "w2", "b2"), arrays):
+        got, want = getattr(net, name), getattr(ref, name)
+        assert got is before  # updated in place
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_train_zero_learning_rate_is_a_no_op(p):
