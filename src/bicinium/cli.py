@@ -66,10 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="compose a duet by negotiation")
     p.add_argument("--netA")
     p.add_argument("--netB")
-    p.add_argument("--plan1", type=_plan,
-                   help="plan of net A (default 0.8,0,0.8,0)")
-    p.add_argument("--plan2", type=_plan,
-                   help="plan of net B (default 0,1,0,1)")
+    default = CompositionConfig()
+    for flag, net, plan in (("--plan1", "A", default.plan1),
+                            ("--plan2", "B", default.plan2)):
+        p.add_argument(flag, type=_plan, help=f"plan of net {net} (default "
+                       f"{','.join(f'{v:g}' for v in plan)})")
     p.add_argument("--length", type=int, default=8)
     p.add_argument("--mode", choices=("det", "coin"), default="det")
     p.add_argument("--cm-weight", type=float, default=1.0)
@@ -94,7 +95,8 @@ def _cmd_train(args) -> int:
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise ValueError(f"{path}: not a file in an existing directory")
     corpus = load_corpus(args.corpus)
-    net = SequentialNet.new(hidden_size=args.hidden, voices=corpus.voices,
+    net = SequentialNet.new(plan_size=len(corpus.melodies[0][0]),
+                            hidden_size=args.hidden, voices=corpus.voices,
                             decay=args.decay, seed=args.seed)
     curve = train(net, corpus.training_set(), epochs=args.epochs,
                   learning_rate=args.lr)
@@ -119,15 +121,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _write_trace(path, args, result, net_hashes) -> None:
-    start = "none" if args.start is None else f"{args.start[0]}:{args.start[1]}"
+def _write_trace(path, cfg, result, net_hashes) -> None:
+    start = ("none" if cfg.start_pair is None
+             else f"{cfg.start_pair[0]}:{cfg.start_pair[1]}")
+    mode = "coin" if cfg.weights.mode == "coin_toss" else "det"
     with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={args.seed} mode={args.mode} "
-                 f"cm_weight={args.cm_weight} length={args.length} "
-                 f"agent_only={args.agent_only} "
-                 f"finalis={not args.no_finalis} "
-                 f"plan1={','.join(map(str, args.plan1))} "
-                 f"plan2={','.join(map(str, args.plan2))} "
+        fh.write(f"# seed={cfg.seed} mode={mode} "
+                 f"cm_weight={cfg.weights.cm_weight} length={cfg.length} "
+                 f"agent_only={cfg.agent_only} finalis={cfg.finalis} "
+                 f"plan1={','.join(map(str, cfg.plan1))} "
+                 f"plan2={','.join(map(str, cfg.plan2))} "
                  f"start={start} "
                  f"netA={net_hashes[0]} netB={net_hashes[1]}\n")
         writer = csv.writer(fh)
@@ -143,14 +146,12 @@ def _write_trace(path, args, result, net_hashes) -> None:
 def _cmd_compose(args) -> int:
     nets = [None, None]
     hashes = ["-", "-"]
-    if args.agent_only and (args.plan1 is not None or args.plan2 is not None):
+    plans = {f"plan{i}": plan for i, plan in ((1, args.plan1), (2, args.plan2))
+             if plan is not None}
+    if args.agent_only and plans:
         print("bicinium compose: --plan1 and --plan2 set the nets' plans "
               "and cannot be used with --agent-only", file=sys.stderr)
         return 2
-    if args.plan1 is None:
-        args.plan1 = (0.8, 0.0, 0.8, 0.0)
-    if args.plan2 is None:
-        args.plan2 = (0.0, 1.0, 0.0, 1.0)
     if not args.agent_only:
         if not args.netA or not args.netB:
             print("bicinium compose: --netA and --netB are required without "
@@ -160,23 +161,20 @@ def _cmd_compose(args) -> int:
         hashes = [_file_hash(args.netA), _file_hash(args.netB)]
     mode = "coin_toss" if args.mode == "coin" else "deterministic"
     cfg = CompositionConfig(
-        length=args.length, plan1=args.plan1, plan2=args.plan2,
+        length=args.length, **plans,
         weights=UtilityWeights(cm_weight=args.cm_weight, mode=mode),
         seed=args.seed, start_pair=args.start,
         finalis=not args.no_finalis, agent_only=args.agent_only)
     result = compose(nets[0], nets[1], cfg)
     if args.trace:
-        _write_trace(args.trace, args, result, hashes)
-    if result.complete:
-        v1, v2 = result.voices
-        print(render_text(v1, v2), end="")
-        if args.midi:
-            write_midi(v1, v2, args.midi)
-    else:
+        _write_trace(args.trace, cfg, result, hashes)
+    v1, v2 = result.voices
+    if not result.complete:
         print(f"dead end at step {result.dead_end_step}")
-        v1, v2 = result.voices
-        if v1:
-            print(render_text(v1, v2), end="")
+    if v1:
+        print(render_text(v1, v2), end="")
+    if result.complete and args.midi:
+        write_midi(v1, v2, args.midi)
     return 0
 
 

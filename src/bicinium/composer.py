@@ -100,16 +100,20 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     be None; otherwise each agent runs its own net and feeds back the
     encoded note of every agreement.  Output is fully determined by
     (nets, cfg): the only randomness is the seeded coin toss.  A start
-    pair that breaks a rule at the opening, or a net that is not a
-    one-voice net, raises ValueError.
+    pair that breaks a rule at the opening, a net that is not a one-voice
+    net, or a plan whose length is not its net's plan size, raises
+    ValueError.
     """
     if not cfg.agent_only:
         if net1 is None or net2 is None:
             raise ValueError("both nets are required unless agent_only is set")
-        for name, net in (("net1", net1), ("net2", net2)):
+        for i, net, plan in ((1, net1, cfg.plan1), (2, net2, cfg.plan2)):
             if net.voices != 1:
-                raise ValueError(f"{name} is a {net.voices}-voice net; each "
+                raise ValueError(f"net{i} is a {net.voices}-voice net; each "
                                  "agent needs a one-voice net")
+            if len(plan) != net.plan_size:
+                raise ValueError(f"plan{i} has {len(plan)} values, but net{i} "
+                                 f"takes a plan of {net.plan_size}")
     # Only the coin toss draws from the generator, so a fixed weight skips
     # building one, and with it the import of numpy.
     coin_toss = cfg.weights.mode == "coin_toss"

@@ -4,7 +4,8 @@ A corpus file holds blank-line-separated melody blocks.  Each block is
 either one bare line of solfege tokens (one-voice corpus) or adjacent
 ``V1:`` / ``V2:`` lines (two-voice corpus), optionally preceded by a
 ``label:`` line giving the plan vector.  ``#`` starts a comment line.
-Unlabeled melodies get one-hot labels in file order.
+Unlabeled melodies get one-hot labels of ``PLAN_SIZE`` values in file
+order, and every label of a corpus has the length of the first.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ def parse_corpus(text: str) -> Corpus:
                 label = tuple([float(v) for v in values])
             except ValueError:
                 raise CorpusError(f"line {lineno}: bad label values") from None
+        size = PLAN_SIZE if label is None else len(label)
+        if melodies and size != plan_size:
+            raise CorpusError(f"line {block[0][0]}: label of {size} values, "
+                              f"but the first melody's has {plan_size}")
+        plan_size = size
         if not lines:
             raise CorpusError(f"line {block[0][0]}: label without melody")
         if lines[0][1].lower().startswith("v1:"):

@@ -213,17 +213,6 @@ def decode_pitch(out_block: np.ndarray, prev: Pitch | None = None) -> Pitch:
     return GAMUT[acts.index(max(acts))]
 
 
-def _encode_melody(voices: tuple, net: SequentialNet) -> np.ndarray:
-    """Per-step target codes of a melody, one row per time step."""
-    import numpy as np
-    length = len(voices[0])
-    rows = []
-    for t in range(length):
-        blocks = [encode_note(v[t], v[t - 1] if t else None) for v in voices]
-        rows.append(np.concatenate(blocks))
-    return np.array(rows)
-
-
 def _teacher_samples(net: SequentialNet, corpus):
     """Unroll every melody with teacher forcing into (input, target) rows.
 
@@ -239,12 +228,13 @@ def _teacher_samples(net: SequentialNet, corpus):
             raise ValueError("plan label size mismatch")
         if len(voices) != net.voices:
             raise ValueError(f"net expects {net.voices} voice(s)")
-        codes = _encode_melody(voices, net)
-        state = np.zeros(net.output_size)
-        for t in range(codes.shape[0]):
+        state = net.fresh_state()
+        for t in range(len(voices[0])):
+            code = np.concatenate(
+                [encode_note(v[t], v[t - 1] if t else None) for v in voices])
             inputs.append(np.concatenate([plan, state]))
-            targets.append(codes[t])
-            state = net.decay * state + codes[t]
+            targets.append(code)
+            state = step_state(net, state, code)
     return np.array(inputs), np.array(targets)
 
 

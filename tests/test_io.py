@@ -67,6 +67,21 @@ def test_parse_errors_carry_line_numbers():
         parse_corpus("V1: re8 do8 la\nV2: re8 mi8\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("label: 1 0\nre8 la8\n\nlabel: 0 1 0 0\nre8 mi8\n",
+     "line 4: label of 4 values, but the first melody's has 2"),
+    # an unlabeled melody's one-hot label has four values
+    ("label: 1 0 0 0 0\nre8 la8\n\n# auto\nre8 mi8\n",
+     "line 5: label of 4 values, but the first melody's has 5"),
+    ("re8 la8\n\nlabel: 0 1 0\nre8 mi8\n",
+     "line 3: label of 3 values, but the first melody's has 4"),
+], ids=["ragged", "auto-after-five", "three-after-auto"])
+def test_parse_refuses_labels_of_differing_length(text, message):
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(text)
+    assert str(info.value) == message
+
+
 def test_parse_too_many_unlabeled():
     text = "\n\n".join("re8 mi8 fa8" for _ in range(5))
     with pytest.raises(CorpusError, match="labels"):
@@ -244,6 +259,30 @@ def test_cli_train_generate_roundtrip(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert out == "re8 la8 sol8 fa8 mi8 re8"
+
+
+def test_cli_train_sizes_the_plan_from_the_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("label: 1 0 0 0 0\nre8 la8 sol8 fa8 mi8 re8\n\n"
+                      "label: 0 1 0 0 0\nre8 mi8 fa8 mi8 re8\n")
+    ckpt = tmp_path / "net.txt"
+    assert main(["train", "--corpus", str(corpus), "--epochs", "300",
+                 "--seed", "1", "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["generate", "--net", str(ckpt), "--plan", "1,0,0,0,0",
+                 "--length", "6"]) == 0
+    assert capsys.readouterr().out == "re8 la8 sol8 fa8 mi8 re8\n"
+
+
+def test_cli_train_refuses_ragged_labels(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("label: 1 0\nre8 la8 sol8\n\nlabel: 0 1 0 0\nre8 mi8\n")
+    out = tmp_path / "net.ckpt"
+    code = main(["train", "--corpus", str(corpus), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "train",
+                            "line 4: label of 4 values")
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_generate_truncated_checkpoint(tmp_path, capsys):
@@ -470,4 +509,21 @@ def test_cli_compose_rejects_two_voice_net(two_voice, tmp_path, capsys):
     captured = capsys.readouterr()
     assert_one_line_refusal(code, captured.err, "compose",
                             f"{two_voice} is a 2-voice net")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--plan1", "1,0,0"], "plan1 has 3 values, but net1 takes a plan of 4"),
+    (["--plan2", "0,1,0,1,0"],
+     "plan2 has 5 values, but net2 takes a plan of 4"),
+])
+def test_cli_compose_names_the_plan_that_does_not_fit(flags, message,
+                                                      tmp_path, capsys):
+    paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+    for seed, path in enumerate(paths, start=1):
+        save_net(SequentialNet.new(seed=seed), path)
+    code = main(["compose", "--netA", str(paths[0]), "--netB", str(paths[1]),
+                 *flags])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "compose", message)
     assert captured.out == ""
