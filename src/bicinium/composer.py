@@ -96,17 +96,20 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
             cfg: CompositionConfig) -> CompositionResult:
     """Run the negotiation loop for cfg.length steps.
 
-    In agent-only mode both activation vectors are zero and the nets may
-    be None; otherwise each agent runs its own net and feeds back the
-    encoded note of every agreement.  Output is fully determined by
-    (nets, cfg): the only randomness is the seeded coin toss.  A start
+    Each agent is one record, ``[net, plan array, state units]``, and
+    agent-only mode has none: both activation vectors are zero and the
+    nets may be None.  Otherwise each agent runs its own net and feeds
+    back the encoded note of every agreement.  Output is fully determined
+    by (nets, cfg): the only randomness is the seeded coin toss.  A start
     pair that breaks a rule at the opening, a net that is not a one-voice
-    net, or a plan whose length is not its net's plan size, raises
-    ValueError.
+    net, or a plan whose length is not its net's plan size or that holds
+    a NaN or infinite value, raises ValueError.
     """
+    agents = []
     if not cfg.agent_only:
         if net1 is None or net2 is None:
             raise ValueError("both nets are required unless agent_only is set")
+        import numpy as np
         for i, net, plan in ((1, net1, cfg.plan1), (2, net2, cfg.plan2)):
             if net.voices != 1:
                 raise ValueError(f"net{i} is a {net.voices}-voice net; each "
@@ -114,22 +117,19 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
             if len(plan) != net.plan_size:
                 raise ValueError(f"plan{i} has {len(plan)} values, but net{i} "
                                  f"takes a plan of {net.plan_size}")
+            plan = np.asarray(plan, dtype=float)
+            if not np.isfinite(plan).all():
+                raise ValueError(f"plan{i} holds a non-finite value")
+            agents.append([net, plan, net.fresh_state()])
     # Only the coin toss draws from the generator, so a fixed weight skips
     # building one, and with it the import of numpy.
     coin_toss = cfg.weights.mode == "coin_toss"
     if coin_toss:
         from numpy.random import default_rng
         rng = default_rng(cfg.seed)
-    nets = (net1, net2)
-    if cfg.agent_only:
-        # A list, not an ndarray: negotiation takes a list of floats as is.
-        zero = [0.0] * len(GAMUT)
-    else:
-        import numpy as np
-        plans = (np.asarray(cfg.plan1, dtype=float),
-                 np.asarray(cfg.plan2, dtype=float))
-        net_states = [net1.fresh_state(), net2.fresh_state()]
-    prevs: list[Pitch | None] = [None, None]
+    # A list, not an ndarray: negotiation takes a list of floats as is.
+    zero = [0.0] * len(GAMUT)
+    prevs: tuple[Pitch | None, ...] = (None, None)
 
     state = DuetState(length=cfg.length, finalis=cfg.finalis)
     if cfg.start_pair is not None:
@@ -144,11 +144,11 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
         else:
             w = cfg.weights.cm_weight
 
-        if cfg.agent_only:
-            acts = (zero, zero)
+        if agents:
+            acts = [map_to_gamut(forward(net, plan, units), prev)
+                    for (net, plan, units), prev in zip(agents, prevs)]
         else:
-            acts = [map_to_gamut(forward(nets[v], plans[v], net_states[v]),
-                                 prevs[v]) for v in (0, 1)]
+            acts = (zero, zero)
 
         if t == 0 and cfg.start_pair is not None:
             pair = cfg.start_pair
@@ -164,10 +164,9 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
         trace.append(StepTrace(step=t, weight=w, pair=pair, utility=utility,
                                legal_count=legal_bits(state).bit_count()))
         state = state.append(pair)
-        for v, note in enumerate(pair):
-            if not cfg.agent_only:
-                net_states[v] = step_state(nets[v], net_states[v],
-                                           _feedback_code(note, prevs[v]))
-            prevs[v] = note
+        for agent, note, prev in zip(agents, pair, prevs):
+            agent[2] = step_state(agent[0], agent[2],
+                                  _feedback_code(note, prev))
+        prevs = pair
 
     return CompositionResult(pairs=state.history, trace=tuple(trace))

@@ -3,13 +3,15 @@
 A corpus file holds blank-line-separated melody blocks.  Each block is
 either one bare line of solfege tokens (one-voice corpus) or adjacent
 ``V1:`` / ``V2:`` lines (two-voice corpus), optionally preceded by a
-``label:`` line giving the plan vector.  ``#`` starts a comment line.
-Unlabeled melodies get one-hot labels of ``PLAN_SIZE`` values in file
-order, and every label of a corpus has the length of the first.
+``label:`` line giving the plan vector: at least one value, each finite.
+``#`` starts a comment line.  Unlabeled melodies get one-hot labels of
+``PLAN_SIZE`` values in file order, and every label of a corpus has the
+length of the first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +76,9 @@ def parse_corpus(text: str) -> Corpus:
                 label = tuple([float(v) for v in values])
             except ValueError:
                 raise CorpusError(f"line {lineno}: bad label values") from None
+            if not label or not all(map(math.isfinite, label)):
+                raise CorpusError(f"line {lineno}: a label needs at least one "
+                                  "value, and every value finite")
         size = PLAN_SIZE if label is None else len(label)
         if melodies and size != plan_size:
             raise CorpusError(f"line {block[0][0]}: label of {size} values, "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .gamut import Motion, NotePair, motion, signed_interval
-from .rules import _PAIRS, DuetState, _legal_mask, pair_bit
+from .rules import _PAIRS, DuetState, _rules_at, pair_bit
 
 __all__ = ["UtilityWeights", "Agreement", "DeadEnd", "COIN_VALUES",
            "contrary_motion_bonus", "system_utility", "negotiate"]
@@ -90,7 +90,7 @@ def _candidates(key: tuple) -> tuple[tuple[int, int, int, float], ...]:
     index, voice-2 index, contrary-motion bonus) in ascending bit order.
     The bonus is 0.0 at the opening (previous-pair bit -1).  Unbounded:
     there are few keys."""
-    bits = _legal_mask(key)
+    bits = _rules_at(key)[0]
     prev = _PAIRS[key[2]] if key[2] >= 0 else None
     return tuple([(k, pair[0].index, pair[1].index,
                    contrary_motion_bonus(prev, pair) if prev else 0.0)

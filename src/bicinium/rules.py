@@ -24,10 +24,10 @@ bit k stands for the pair (GAMUT[k // 13], GAMUT[k % 13]), so ascending
 bit order is the voice-1-then-voice-2 scan order.  The masks of rules 1,
 2, 3, 6, 7, 10 and 11 depend on the candidate alone and are built at
 import; those of rules 4, 5, 8 and 9 also depend on the previous pair and
-are built the first time that pair is seen.  Which masks apply, and the
-legal mask they leave, are cached on the state's small rule key
-(``DuetState._key``): ``legal_bits`` reads the legal mask and
-``check_pair`` names the rules whose mask holds the candidate's bit.
+are built the first time that pair is seen.  One table per small rule
+key (``DuetState._key``) holds the legal mask and the rules that apply
+with their masks: ``legal_bits`` reads the legal mask and ``check_pair``
+names the rules whose mask holds the candidate's bit.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class DuetState:
         fam, run = self.imperfect_run
         return (t == 0, last,
                 pair_bit(self.history[-1]) if t else -1,
-                fam if fam in _FAMILY and run >= MAX_IMPERFECT_RUN else 0,
+                fam if run >= MAX_IMPERFECT_RUN else 0,
                 self.interior_perfect_count >= MAX_INTERIOR_PERFECT,
                 self.finalis and last)
 
@@ -199,8 +199,9 @@ def _motion_masks(prev_bit: int) -> tuple[int, int, int, int]:
 
 
 @cache
-def _rule_masks(key: tuple) -> tuple[tuple[int, int], ...]:
-    """(rule, mask) of every rule that applies at a state with this key."""
+def _rules_at(key: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(legal mask, ((rule, mask), ...)) at a state with this key: the
+    pairs that break no rule, and every rule that applies with its mask."""
     opening, last, prev_bit, run_family, interior_full, finalis_due = key
     masks = [(1, _DISSONANT), (6, _WIDE)]
     if opening or last:
@@ -215,21 +216,16 @@ def _rule_masks(key: tuple) -> tuple[tuple[int, int], ...]:
         masks.append((7, _FAMILY[run_family]))
     if finalis_due:
         masks.append((11, _OFF_FINALIS))
-    return tuple(masks)
-
-
-@cache
-def _legal_mask(key: tuple) -> int:
     illegal = 0
-    for _, mask in _rule_masks(key):
+    for _, mask in masks:
         illegal |= mask
-    return _ALL & ~illegal
+    return _ALL & ~illegal, tuple(masks)
 
 
 def legal_bits(state: DuetState) -> int:
     """The legal pairs at the next position as a 169-bit mask: bit
     ``pair_bit(pair)`` is set when ``pair`` breaks no rule."""
-    return _legal_mask(state._key)
+    return _rules_at(state._key)[0]
 
 
 _LEGAL = RuleVerdict(frozenset())
@@ -237,12 +233,11 @@ _LEGAL = RuleVerdict(frozenset())
 
 def check_pair(state: DuetState, pair: NotePair) -> RuleVerdict:
     """Verdict for appending ``pair`` at the next position of ``state``."""
-    key = state._key
+    legal, masks = _rules_at(state._key)
     k = pair_bit(pair)
-    if _legal_mask(key) >> k & 1:
+    if legal >> k & 1:
         return _LEGAL
-    return RuleVerdict(frozenset(rule for rule, mask in _rule_masks(key)
-                                 if mask >> k & 1))
+    return RuleVerdict(frozenset(rule for rule, m in masks if m >> k & 1))
 
 
 def legal_pairs(state: DuetState) -> list[NotePair]:

@@ -335,6 +335,8 @@ def generate(net: SequentialNet, plan, length: int,
     if length > MAX_LENGTH:
         raise ValueError(f"length must be at most {MAX_LENGTH}, got {length}")
     plan = np.asarray(plan, dtype=float)
+    if not np.isfinite(plan).all():
+        raise ValueError("plan holds a non-finite value")
     if start is not None and not isinstance(start, tuple):
         start = (start,)
     if start is not None and len(start) != net.voices:

@@ -1,7 +1,9 @@
 """Scalar statement of rules 1-11, one candidate pair at a time.
 
 This is the reference the rule masks in ``bicinium.rules`` are checked
-against: it reads the state and the pair directly, with no table.
+against: it reads the state's length, ``finalis`` and history and the
+pair directly, with no table.  The counts rules 7 and 10 need are
+recomputed from the history, not read from the counters ``append`` keeps.
 """
 
 from bicinium.gamut import (
@@ -23,6 +25,22 @@ def _family(pair):
     return 0
 
 
+def history_counters(state):
+    """(family, run, interior perfects) by a scan of ``state.history``: the
+    imperfect family of the last pair and how many pairs in a row end
+    with it (rule 7), and the perfect consonances placed in the interior
+    (rule 10)."""
+    fam = run = interior = 0
+    for t, pair in enumerate(state.history):
+        f = _family(pair)
+        run = run + 1 if f and f == fam else (1 if f else 0)
+        fam = f
+        if 0 < t < state.length - 1 and interval_quality(*pair) \
+                is IntervalQuality.PERFECT_CONSONANT:
+            interior += 1
+    return fam, run, interior
+
+
 def scalar_violations(state, pair):
     """Numbers of the rules ``pair`` breaks at the next position of ``state``."""
     t = state.position
@@ -32,6 +50,7 @@ def scalar_violations(state, pair):
     perfect = quality is IntervalQuality.PERFECT_CONSONANT
     first, last = t == 0, t == state.length - 1
     prev = state.history[-1] if t > 0 else None
+    run_family, run, interior_perfects = history_counters(state)
 
     violations = set()
     if quality is IntervalQuality.DISSONANT:
@@ -48,8 +67,7 @@ def scalar_violations(state, pair):
     if steps > 9:
         violations.add(6)
     fam = _family(pair)
-    if fam and fam == state.imperfect_run[0] \
-            and state.imperfect_run[1] + 1 > 4:
+    if fam and fam == run_family and run + 1 > 4:
         violations.add(7)
     if prev is not None:
         d1 = n1.index - prev[0].index
@@ -59,7 +77,7 @@ def scalar_violations(state, pair):
             violations.add(8)
         if d1 == 0 or d2 == 0:
             violations.add(9)
-    if perfect and not (first or last) and state.interior_perfect_count >= 2:
+    if perfect and not (first or last) and interior_perfects >= 2:
         violations.add(10)
     if state.finalis and last and not (n1.degree == 0 and n2.degree == 0):
         violations.add(11)

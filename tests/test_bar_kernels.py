@@ -222,14 +222,12 @@ def negotiated_keys(result, length):
 
 
 def test_legality_cache_misses_once_per_key():
-    rules._legal_mask.cache_clear()
-    rules._rule_masks.cache_clear()
+    rules._rules_at.cache_clear()
     net1, net2 = SequentialNet.new(seed=1), SequentialNet.new(seed=2)
     result = compose(net1, net2, CompositionConfig(length=12, start_pair=None))
     keys = set(negotiated_keys(result, 12))
-    for cached in (rules._legal_mask, rules._rule_masks):
-        info = cached.cache_info()
-        assert info.misses == info.currsize == len(keys)
+    info = rules._rules_at.cache_info()
+    assert info.misses == info.currsize == len(keys)
 
 
 def test_candidates_cached_no_more_than_keys():

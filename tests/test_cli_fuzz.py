@@ -1,9 +1,13 @@
-"""Property test of ``bicinium compose`` through ``cli.main``, in process.
+"""Property tests of ``bicinium compose``, ``validate`` and ``generate``
+through ``cli.main``, in process.
 
-Any argv drawn from the compose flags, valid or not, exits 0, 1 or 2 with
-no traceback; a refusal ends stderr with a ``bicinium compose:`` line; a
-complete duet validates; and spelling out an omitted flag with its
-default value changes neither stdout nor the ``--trace`` file.
+Any input drawn for them, valid or not, exits 0, 1 or 2 with no
+traceback, and a refusal ends stderr with a ``bicinium <cmd>:`` line.
+For ``compose``, a complete duet validates, and spelling out an omitted
+flag with its default value changes neither stdout nor the ``--trace``
+file.  For ``validate``, a text that parses prints its report and exits
+0 exactly when the duet is legal.  For ``generate``, a run that exits 0
+prints one line per voice of ``--length`` notes.
 """
 
 import contextlib
@@ -19,6 +23,8 @@ from bicinium.corpus import parse_duet_text
 from bicinium.gamut import GAMUT
 from bicinium.rules import validate_duet
 from bicinium.seqnet import SequentialNet, save_net
+
+from conftest import AGENT_ONLY_DUET, NONDET_DUETS, TRAINING_DUET
 
 # The compose flags that take a value, each with the value it defaults to.
 DEFAULTS = {"--length": "8", "--start": "re8:re8", "--plan1": "0.8,0,0.8,0",
@@ -52,7 +58,7 @@ class Hang(Exception):
 
 
 def _hang(signum, frame):
-    raise Hang("compose ran for more than 10 s")
+    raise Hang("main ran for more than 10 s")
 
 
 @pytest.fixture(scope="module")
@@ -63,20 +69,35 @@ def workdir(tmp_path_factory):
     return path
 
 
-def run(argv, trace):
-    """(exit code, stdout, stderr, trace bytes or None) of one call."""
-    trace.unlink(missing_ok=True)
+def call(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, stopped after 10 s."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _hang)
     signal.alarm(10)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--trace", str(trace)])
+            code = main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    return (code, out.getvalue(), err.getvalue(),
-            trace.read_bytes() if trace.exists() else None)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_boundary(command, code, err):
+    """The exit codes and refusal line every subcommand keeps."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if err:
+        assert err.splitlines()[-1].startswith(f"bicinium {command}:")
+    else:
+        assert code != 2
+
+
+def run(argv, trace):
+    """(exit code, stdout, stderr, trace bytes or None) of one call."""
+    trace.unlink(missing_ok=True)
+    code, out, err = call([*argv, "--trace", str(trace)])
+    return code, out, err, trace.read_bytes() if trace.exists() else None
 
 
 @settings(max_examples=200, deadline=timedelta(seconds=5))
@@ -95,10 +116,9 @@ def test_compose_argv(workdir, options, agent_only, no_finalis, net_a, net_b,
         argv += ["--midi", str(workdir / "duet.mid")]
     code, out, err, trace = run(argv, workdir / "trace.csv")
 
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
+    assert_boundary("compose", code, err)
     if code:
-        assert err.splitlines()[-1].startswith("bicinium compose:")
+        assert err
     elif not out.startswith("dead end"):
         v1, v2 = parse_duet_text(out)
         assert validate_duet(v1, v2, finalis=not no_finalis).legal
@@ -108,3 +128,134 @@ def test_compose_argv(workdir, options, agent_only, no_finalis, net_a, net_b,
             continue
         again = run([*argv, flag, value], workdir / "again.csv")
         assert (again[0], again[1], again[3]) == (code, out, trace), flag
+
+
+# ------------------------------------------------------------- validate
+
+NAMES = [p.name for p in GAMUT]
+LEGAL_DUETS = [AGENT_ONLY_DUET, TRAINING_DUET, *NONDET_DUETS]
+
+
+@st.composite
+def duet_texts(draw):
+    """Bytes of a duet file: a legal duet, then a few edits of its tokens
+    and lines, each of which may leave it legal, illegal or unparsable."""
+    voices = [v.split() for v in draw(st.sampled_from(LEGAL_DUETS))]
+    for _ in range(draw(st.integers(0, 3))):
+        voice = voices[draw(st.integers(0, 1))]
+        edit = draw(st.sampled_from(["note"] * 6 + ["token", "drop", "add",
+                                                  "empty"]))
+        at = draw(st.integers(0, max(len(voice) - 1, 0)))
+        if edit == "note" and voice:
+            voice[at] = draw(st.sampled_from(NAMES))
+        elif edit == "token" and voice:
+            voice[at] = draw(st.sampled_from(["xx", "re9", "RE8", "1", ":"]))
+        elif edit == "drop" and voice:
+            del voice[at]
+        elif edit == "add":
+            voice.insert(at, draw(st.sampled_from(NAMES)))
+        elif edit == "empty":
+            voice.clear()
+    lines = [f"V{i}: {' '.join(v)}" for i, v in enumerate(voices, start=1)]
+    shape = draw(st.sampled_from(["as is"] * 4 + ["comment", "blank",
+                                                  "missing", "extra",
+                                                  "swapped"]))
+    if shape == "comment":
+        lines.insert(draw(st.integers(0, 2)), "# a comment")
+    elif shape == "blank":
+        lines.insert(draw(st.integers(0, 2)), "")
+    elif shape == "missing":
+        del lines[draw(st.integers(0, 1))]
+    elif shape == "extra":
+        lines.append(draw(st.sampled_from(["V3: re8", lines[-1], "re8"])))
+    elif shape == "swapped":
+        lines.reverse()
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(st.integers(0, 15)) == 0:  # bytes that are not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff\xfe" + data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(data=duet_texts(), no_finalis=st.booleans())
+def test_validate_duet_text(workdir, data, no_finalis):
+    path = workdir / "duet.txt"
+    path.write_bytes(data)
+    code, out, err = call(["validate", "--duet", str(path)]
+                          + ["--no-finalis"] * no_finalis)
+
+    assert_boundary("validate", code, err)
+    try:
+        v1, v2 = parse_duet_text(path.read_text())
+        report = validate_duet(v1, v2, finalis=not no_finalis)
+    except ValueError:  # undecodable, unparsable or empty
+        assert code == 1 and err and out == ""
+    else:
+        assert (out, err) == (f"{report}\n", "")
+        assert (code == 0) == report.legal
+
+
+# ------------------------------------------------------------- generate
+
+any_value = st.sampled_from(["0", "1", "0.5", "nan", "inf", "-inf"])
+# Most plans fit the nets (four finite values), so that most runs print.
+any_plan = st.one_of(four, four, four, four,
+                     st.lists(any_value, max_size=6).map(",".join),
+                     st.just("x"))
+GENERATE_VALUES = {
+    "--length": st.one_of(st.sampled_from([0, 1, 1001]), st.integers(2, 20),
+                          st.integers(2, 20)).map(str),
+    "--start": st.one_of(
+        st.sampled_from(["none", "xx"]),
+        st.lists(st.sampled_from(NAMES), min_size=1, max_size=2)
+        .map(":".join)),
+}
+HEADER = ["plan_size", "hidden_size", "voices", "decay"]
+
+
+def mutated(draw, data):
+    """``data``, a ``save_net`` checkpoint, as it is, cut at a byte, or
+    with a header value or one weight replaced."""
+    mutation = draw(st.sampled_from(["none"] * 3 + ["cut", "header",
+                                                   "weight"]))
+    if mutation == "cut":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    lines = data.decode().split("\n")
+    if mutation == "header":
+        at = draw(st.integers(1, len(HEADER)))
+        value = draw(st.sampled_from(["-1", "0", "nan", "5.0"]))
+        lines[at] = f"{HEADER[at - 1]} {value}"
+    elif mutation == "weight":
+        at = draw(st.sampled_from([6, 8, 10, 12]))  # w1, b1, w2, b2 values
+        values = lines[at].split()
+        values[draw(st.integers(0, len(values) - 1))] = "nan"
+        lines[at] = " ".join(values)
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(options=st.fixed_dictionaries({}, optional=GENERATE_VALUES),
+       plan=st.one_of(any_plan, any_plan, any_plan, st.none()),
+       voices=st.sampled_from([1, 2]), drawn=st.data())
+def test_generate_argv(workdir, options, plan, voices, drawn):
+    saved = workdir / ("a.ckpt" if voices == 1 else "two_voice.ckpt")
+    path = workdir / "generate.ckpt"
+    path.write_bytes(mutated(drawn.draw, saved.read_bytes()))
+    argv = ["generate", "--net", str(path),
+            *(t for item in options.items() for t in item)]
+    argv += [] if plan is None else ["--plan", plan]
+    code, out, err = call(argv)
+
+    assert_boundary("generate", code, err)
+    if code:
+        assert err and out == ""
+    else:
+        lines = out.splitlines()
+        assert len(lines) == voices
+        for i, line in enumerate(lines, start=1):
+            prefix = f"V{i}: " if voices > 1 else ""
+            assert line.startswith(prefix)
+            notes = line[len(prefix):].split()
+            assert len(notes) == int(options.get("--length", "8"))
+            assert set(notes) <= set(NAMES)

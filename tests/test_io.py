@@ -82,6 +82,21 @@ def test_parse_refuses_labels_of_differing_length(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text,line", [
+    ("label:\nre8 la8\n", 1),
+    ("# nan\nlabel: nan 0 0 0\nre8 la8\n", 2),
+    ("label: 1 0\nre8 la8\n\nlabel: 0 inf\nre8 mi8\n", 4),
+    ("label: -inf 0 0 0\nre8 la8\n", 1),
+], ids=["empty", "nan", "inf", "minus-inf"])
+def test_parse_refuses_empty_or_non_finite_label(text, line):
+    # an empty label used to fail later with "plan_size must be at least
+    # 1, got 0"; a non-finite one trained to "final mse nan"
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(text)
+    assert str(info.value) == (f"line {line}: a label needs at least one "
+                               "value, and every value finite")
+
+
 def test_parse_too_many_unlabeled():
     text = "\n\n".join("re8 mi8 fa8" for _ in range(5))
     with pytest.raises(CorpusError, match="labels"):
@@ -285,6 +300,21 @@ def test_cli_train_refuses_ragged_labels(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("label", ["", "nan 0 0 0", "0 inf 0 0"],
+                         ids=["empty", "nan", "inf"])
+def test_cli_train_refuses_empty_or_non_finite_label(label, tmp_path,
+                                                     capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"label: {label}\nre8 la8 sol8\n")
+    out = tmp_path / "net.ckpt"
+    code = main(["train", "--corpus", str(corpus), "--out", str(out),
+                 "--epochs", "2"])
+    captured = capsys.readouterr()
+    assert_one_line_refusal(code, captured.err, "train",
+                            "line 1: a label needs at least one value")
+    assert captured.out == "" and not out.exists()
+
+
 def test_cli_generate_truncated_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "net.txt"
     save_net(SequentialNet.new(hidden_size=5, seed=3), ckpt)
@@ -365,6 +395,13 @@ def test_cli_compose_refuses_negative_seed(mode, tmp_path, capsys):
     (2, ["--start", "re8"], "start needs one pitch per voice (2)"),
     (1, ["--length", "-3"], "length must be at least 1, got -3"),
     (1, ["--length", "0"], "length must be at least 1, got 0"),
+    # inf used to print fa fa fa fa, and a NaN plan with the only step
+    # pinned printed re8, both with exit 0
+    (1, ["--plan", "inf,0,0,0", "--length", "4"],
+     "plan holds a non-finite value"),
+    (1, ["--plan", "nan,0,0,0", "--length", "1", "--start", "re8"],
+     "plan holds a non-finite value"),
+    (1, ["--plan", "0,0,0,-inf"], "plan holds a non-finite value"),
 ])
 def test_cli_generate_rejects_bad_flags(voices, flags, message, tmp_path,
                                         capsys):
@@ -516,6 +553,11 @@ def test_cli_compose_rejects_two_voice_net(two_voice, tmp_path, capsys):
     (["--plan1", "1,0,0"], "plan1 has 3 values, but net1 takes a plan of 4"),
     (["--plan2", "0,1,0,1,0"],
      "plan2 has 5 values, but net2 takes a plan of 4"),
+    # --plan2 inf used to print a duet and exit 0; --plan1 nan failed at
+    # bar 0 with a message that named neither plan
+    (["--plan2", "inf,0,0,0"], "plan2 holds a non-finite value"),
+    (["--plan1", "nan,0,0,0"], "plan1 holds a non-finite value"),
+    (["--plan1", "0,-inf,0,0"], "plan1 holds a non-finite value"),
 ])
 def test_cli_compose_names_the_plan_that_does_not_fit(flags, message,
                                                       tmp_path, capsys):

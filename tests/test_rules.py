@@ -14,7 +14,7 @@ from bicinium.rules import (
 )
 
 from conftest import AGENT_ONLY_DUET, NONDET_DUETS, TRAINING_DUET, pairs, pitches
-from scalar_rules import scalar_violations
+from scalar_rules import history_counters, scalar_violations
 
 gamut_pitch = st.sampled_from(GAMUT)
 note_pair = st.tuples(gamut_pitch, gamut_pitch)
@@ -163,17 +163,8 @@ def random_states(draw):
 @settings(max_examples=200)
 @given(random_states())
 def test_cached_counters_match_recompute(state):
-    # the rule-7/rule-10 counters equal a scan of the history
-    interior = sum(
-        1 for t, pr in enumerate(state.history)
-        if 0 < t < state.length - 1
-        and interval_quality(*pr) is IntervalQuality.PERFECT_CONSONANT)
-    fam = run = 0
-    for pr in state.history:
-        steps = interval_steps(*pr)
-        f = 3 if steps in (2, 9) else 6 if steps in (5, 12) else 0
-        run = run + 1 if f and f == fam else (1 if f else 0)
-        fam = f
+    # the rule-7/rule-10 counters equal the oracle's scan of the history
+    fam, run, interior = history_counters(state)
     assert state.interior_perfect_count == interior
     assert state.imperfect_run == (fam, run)
 
