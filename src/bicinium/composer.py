@@ -2,8 +2,9 @@
 feed back as context.
 
 Per bar each agent runs its net forward and maps the output onto the
-13-pitch gamut through the unit table of its previous note (or offers a
-list of zeros in agent-only mode).  The negotiation picks the legal pair of
+13-pitch gamut through the unit table of its previous note (in agent-only
+mode both offer negotiation's constant zero vector, whose choice is cached
+per rule key and weight).  The negotiation picks the legal pair of
 maximal utility from the candidate table of the state's rule key, and the
 trace's legal count reads the legal mask cached on the same key.  Each agent
 then pushes the 19-code ``seqnet`` feeds back for its agreed note into
@@ -12,10 +13,12 @@ its net state.  Dead ends stop the run; there is no backtracking.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .gamut import GAMUT, NotePair, Pitch, pitch_from_name
+from .gamut import NotePair, Pitch, pitch_from_name
 from .negotiation import (
+    _NO_OFFER,
     COIN_VALUES,
     Agreement,
     DeadEnd,
@@ -106,10 +109,13 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     a NaN or infinite value, raises ValueError.
     """
     agents = []
+    quiet = nullcontext()
     if not cfg.agent_only:
         if net1 is None or net2 is None:
             raise ValueError("both nets are required unless agent_only is set")
         import numpy as np
+        # A saturated sigmoid overflows np.exp to inf and reads exactly 0.0.
+        quiet = np.errstate(over="ignore")
         for i, net, plan in ((1, net1, cfg.plan1), (2, net2, cfg.plan2)):
             if net.voices != 1:
                 raise ValueError(f"net{i} is a {net.voices}-voice net; each "
@@ -127,8 +133,6 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     if coin_toss:
         from numpy.random import default_rng
         rng = default_rng(cfg.seed)
-    # A list, not an ndarray: negotiation takes a list of floats as is.
-    zero = [0.0] * len(GAMUT)
     prevs: tuple[Pitch | None, ...] = (None, None)
 
     state = DuetState(length=cfg.length, finalis=cfg.finalis)
@@ -138,35 +142,37 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
             a, b = cfg.start_pair
             raise ValueError(f"start pair {a}:{b} breaks {verdict}")
     trace: list[StepTrace] = []
-    for t in range(cfg.length):
-        if coin_toss:
-            w = draw_step_weight(rng, cfg.weights)
-        else:
-            w = cfg.weights.cm_weight
+    with quiet:
+        for t in range(cfg.length):
+            if coin_toss:
+                w = draw_step_weight(rng, cfg.weights)
+            else:
+                w = cfg.weights.cm_weight
 
-        if agents:
-            acts = [map_to_gamut(forward(net, plan, units), prev)
-                    for (net, plan, units), prev in zip(agents, prevs)]
-        else:
-            acts = (zero, zero)
+            if agents:
+                acts = [map_to_gamut(forward(net, plan, units), prev)
+                        for (net, plan, units), prev in zip(agents, prevs)]
+            else:
+                acts = (_NO_OFFER, _NO_OFFER)
 
-        if t == 0 and cfg.start_pair is not None:
-            pair = cfg.start_pair
-            utility = system_utility(state, pair, acts[0], acts[1], w)
-        else:
-            outcome = negotiate(state, acts[0], acts[1], w)
-            if isinstance(outcome, DeadEnd):
-                return CompositionResult(pairs=state.history,
-                                         trace=tuple(trace),
-                                         dead_end_step=t)
-            pair, utility = outcome.pair, outcome.utility
+            if t == 0 and cfg.start_pair is not None:
+                pair = cfg.start_pair
+                utility = system_utility(state, pair, acts[0], acts[1], w)
+            else:
+                outcome = negotiate(state, acts[0], acts[1], w)
+                if isinstance(outcome, DeadEnd):
+                    return CompositionResult(pairs=state.history,
+                                             trace=tuple(trace),
+                                             dead_end_step=t)
+                pair, utility = outcome.pair, outcome.utility
 
-        trace.append(StepTrace(step=t, weight=w, pair=pair, utility=utility,
-                               legal_count=legal_bits(state).bit_count()))
-        state = state.append(pair)
-        for agent, note, prev in zip(agents, pair, prevs):
-            agent[2] = step_state(agent[0], agent[2],
-                                  _feedback_code(note, prev))
-        prevs = pair
+            trace.append(StepTrace(step=t, weight=w, pair=pair,
+                                   utility=utility,
+                                   legal_count=legal_bits(state).bit_count()))
+            state = state.append(pair)
+            for agent, note, prev in zip(agents, pair, prevs):
+                agent[2] = step_state(agent[0], agent[2],
+                                      _feedback_code(note, prev))
+            prevs = pair
 
     return CompositionResult(pairs=state.history, trace=tuple(trace))

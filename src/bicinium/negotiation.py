@@ -10,13 +10,17 @@ match zeroes out anything the rulebook rejects.  Negotiation scores every
 legal one of the 13x13 combinations, read with its bonus off one table per
 rule key, and the maximal pair wins, ties broken toward lower voice-1
 index, then lower voice-2 index.
+
+An agent without a net offers ``_NO_OFFER``, thirteen zeros built once at
+import.  Between two such agents the choice depends only on the state's
+rule key and the weight, so it is made once per (key, weight) and cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .gamut import Motion, NotePair, motion, signed_interval
 from .rules import _PAIRS, DuetState, _rules_at, pair_bit
@@ -25,6 +29,9 @@ __all__ = ["UtilityWeights", "Agreement", "DeadEnd", "COIN_VALUES",
            "contrary_motion_bonus", "system_utility", "negotiate"]
 
 COIN_VALUES = (0.5, 1.49)
+
+# The offer of an agent without a net: immutable and checked here, once.
+_NO_OFFER = (0.0,) * 13
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,9 @@ def contrary_motion_bonus(prev: NotePair, cur: NotePair) -> float:
     return 1.0 / delta if delta else 0.0
 
 
-def _as_activations(act) -> list[float]:
+def _as_activations(act) -> list[float] | tuple[float, ...]:
+    if act is _NO_OFFER:
+        return act
     # Fast path: a list of floats whose sum is finite (so no NaN or
     # infinity) and whose minimum is non-negative passes as it is.
     if (type(act) is list and len(act) == 13
@@ -124,13 +133,31 @@ def negotiate(state: DuetState, act1, act2,
         raise ValueError(f"cm_weight must be finite, got {cm_weight}")
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
+    if act1 is _NO_OFFER is act2:
+        choice = _unoffered_choice(state._key, cm_weight)
+    else:
+        choice = _choose(state._key, act1, act2, cm_weight)
+    if choice is None:
+        return DeadEnd(step=state.position)
+    return choice
+
+
+def _choose(key: tuple, act1, act2, cm_weight) -> Agreement | None:
+    """The maximal candidate at rule key ``key``, or None if none is legal."""
     best = -1
     best_utility = -1.0
-    for k, i, j, bonus in _candidates(state._key):
+    for k, i, j, bonus in _candidates(key):
         score = act1[i] * act2[j] + cm_weight * bonus
         if score > best_utility:
             best = k
             best_utility = score
     if best < 0:
-        return DeadEnd(step=state.position)
+        return None
     return Agreement(pair=_PAIRS[best], utility=best_utility)
+
+
+# Typed, so that 1, 1.0, True and np.float64(1.0) each keep the utility
+# type the loop gives them.  Unbounded: there are few keys and weights.
+@lru_cache(maxsize=None, typed=True)
+def _unoffered_choice(key: tuple, cm_weight) -> Agreement | None:
+    return _choose(key, _NO_OFFER, _NO_OFFER, cm_weight)

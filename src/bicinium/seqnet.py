@@ -286,36 +286,38 @@ def train(net: SequentialNet, corpus, epochs: int = 500,
                                          np.add.reduce)
     size = net.output_size
     curve = []
-    for _ in range(epochs):
-        sq = 0.0
-        for x, x_row, t in samples:
-            matmul(w1, x, out=h)
-            add(h, b1, out=h)
-            negative(h, out=h)
-            exp(h, out=h)
-            add(1.0, h, out=h)
-            divide(1.0, h, out=h)
-            matmul(w2, h, out=o)
-            add(o, b2, out=o)
-            negative(o, out=o)
-            exp(o, out=o)
-            add(1.0, o, out=o)
-            divide(1.0, o, out=o)
-            subtract(o, t, out=d)
-            multiply(d, d, out=o_tmp)
-            sq += float(add_reduce(o_tmp) / size)
-            multiply(d, o, out=gb2)
-            subtract(1.0, o, out=o_tmp)
-            multiply(gb2, o_tmp, out=gb2)
-            matmul(w2t, gb2, out=gb1)
-            multiply(gb1, h, out=gb1)
-            subtract(1.0, h, out=h_tmp)
-            multiply(gb1, h_tmp, out=gb1)
-            multiply(dz1_col, x_row, out=gw1)
-            multiply(dz2_col, h_row, out=gw2)
-            multiply(grads, learning_rate, out=grads)
-            subtract(params, grads, out=params)
-        curve.append(sq / len(samples))
+    # A saturated sigmoid overflows np.exp to inf and reads exactly 0.0.
+    with np.errstate(over="ignore"):
+        for _ in range(epochs):
+            sq = 0.0
+            for x, x_row, t in samples:
+                matmul(w1, x, out=h)
+                add(h, b1, out=h)
+                negative(h, out=h)
+                exp(h, out=h)
+                add(1.0, h, out=h)
+                divide(1.0, h, out=h)
+                matmul(w2, h, out=o)
+                add(o, b2, out=o)
+                negative(o, out=o)
+                exp(o, out=o)
+                add(1.0, o, out=o)
+                divide(1.0, o, out=o)
+                subtract(o, t, out=d)
+                multiply(d, d, out=o_tmp)
+                sq += float(add_reduce(o_tmp) / size)
+                multiply(d, o, out=gb2)
+                subtract(1.0, o, out=o_tmp)
+                multiply(gb2, o_tmp, out=gb2)
+                matmul(w2t, gb2, out=gb1)
+                multiply(gb1, h, out=gb1)
+                subtract(1.0, h, out=h_tmp)
+                multiply(gb1, h_tmp, out=gb1)
+                multiply(dz1_col, x_row, out=gw1)
+                multiply(dz2_col, h_row, out=gw2)
+                multiply(grads, learning_rate, out=grads)
+                subtract(params, grads, out=params)
+            curve.append(sq / len(samples))
     for field, trained in zip(fields, (w1, b1, w2, b2)):
         field[...] = trained
     return curve
@@ -344,19 +346,20 @@ def generate(net: SequentialNet, plan, length: int,
     state = net.fresh_state()
     prev: list[Pitch | None] = [None] * net.voices
     voices: list[list[Pitch]] = [[] for _ in range(net.voices)]
-    for t in range(length):
-        out = forward(net, plan, state)
-        feedback = []
-        for v in range(net.voices):
-            block = out[v * NOTE_CODE_SIZE:(v + 1) * NOTE_CODE_SIZE]
-            if t == 0 and start is not None:
-                pitch = start[v]
-            else:
-                pitch = decode_pitch(block, prev[v])
-            voices[v].append(pitch)
-            feedback.append(_feedback_code(pitch, prev[v]))
-            prev[v] = pitch
-        state = step_state(net, state, np.concatenate(feedback))
+    with np.errstate(over="ignore"):  # as in train
+        for t in range(length):
+            out = forward(net, plan, state)
+            feedback = []
+            for v in range(net.voices):
+                block = out[v * NOTE_CODE_SIZE:(v + 1) * NOTE_CODE_SIZE]
+                if t == 0 and start is not None:
+                    pitch = start[v]
+                else:
+                    pitch = decode_pitch(block, prev[v])
+                voices[v].append(pitch)
+                feedback.append(_feedback_code(pitch, prev[v]))
+                prev[v] = pitch
+            state = step_state(net, state, np.concatenate(feedback))
     return tuple(tuple(v) for v in voices)
 
 

@@ -5,8 +5,9 @@ table; ``reference_map_to_gamut`` below is the per-pitch numpy loop it
 replaced, kept as the oracle.  ``encode_note`` and the fed-back 19-codes
 read the same table; ``reference_encode_note`` is the arithmetic encoder
 it replaced.  Negotiation reads its candidates, each with its bonus, from
-one table per rule key and takes activation lists as they are, and the
-rules compute each mask once per rule key.
+one table per rule key and takes activation lists as they are, the
+agent-only choice is made once per (rule key, weight), and the rules
+compute each mask once per rule key.
 """
 
 import math
@@ -18,9 +19,14 @@ from hypothesis import strategies as st
 
 from bicinium import negotiation, rules, seqnet
 from bicinium.cli import main
-from bicinium.composer import CompositionConfig, compose
+from bicinium.composer import CompositionConfig, compose, draw_step_weight
 from bicinium.gamut import GAMUT, Pitch
-from bicinium.negotiation import contrary_motion_bonus
+from bicinium.negotiation import (
+    DeadEnd,
+    UtilityWeights,
+    contrary_motion_bonus,
+    negotiate,
+)
 from bicinium.rules import DuetState, legal_pairs
 from bicinium.seqnet import (
     NOTE_CODE_SIZE,
@@ -221,6 +227,14 @@ def negotiated_keys(result, length):
     return keys
 
 
+def bar_weights(cfg, bars):
+    """The contrary-motion weight of each of the first ``bars`` bars."""
+    if cfg.weights.mode != "coin_toss":
+        return [cfg.weights.cm_weight] * bars
+    rng = np.random.default_rng(cfg.seed)
+    return [draw_step_weight(rng, cfg.weights) for _ in range(bars)]
+
+
 def test_legality_cache_misses_once_per_key():
     rules._rules_at.cache_clear()
     net1, net2 = SequentialNet.new(seed=1), SequentialNet.new(seed=2)
@@ -231,18 +245,29 @@ def test_legality_cache_misses_once_per_key():
 
 
 def test_candidates_cached_no_more_than_keys():
-    # one candidate table per rule key, built on its first use
+    # one candidate table per rule key, built on its first use, and one
+    # agent-only choice per (rule key, weight) the loop negotiated at
     negotiation._candidates.cache_clear()
+    negotiation._unoffered_choice.cache_clear()
     starts = [None] + [(a, b) for a in GAMUT for b in GAMUT
                        if rules.check_pair(DuetState(2), (a, b)).legal]
-    keys = set()
+    keys, choices = set(), set()
     for start in starts:
         for length in (2, 5, 9, 14):
-            result = compose(None, None, CompositionConfig(
-                length=length, start_pair=start, agent_only=True))
-            keys.update(negotiated_keys(result, length))
+            for mode in ("deterministic", "coin_toss"):
+                cfg = CompositionConfig(length=length, start_pair=start,
+                                        weights=UtilityWeights(mode=mode),
+                                        agent_only=True)
+                result = compose(None, None, cfg)
+                bar_keys = negotiated_keys(result, length)
+                keys.update(bar_keys)
+                chosen = zip(bar_keys, bar_weights(cfg, len(bar_keys)))
+                # the start pair is scored, not chosen
+                choices.update(list(chosen)[start is not None:])
     info = negotiation._candidates.cache_info()
     assert info.misses == info.currsize == len(keys)
+    info = negotiation._unoffered_choice.cache_info()
+    assert info.misses == info.currsize == len(choices)
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,3 +281,23 @@ def test_candidate_table_lists_the_legal_pairs_and_their_bonus(state):
         assert k == i * len(GAMUT) + j
         assert bonus == (0.0 if prev is None
                          else contrary_motion_bonus(prev, pair))
+
+
+# Equal weights of different types, signed zeros, and extremes: the cache
+# must keep each one's result and its type apart.
+WEIGHTS = [1, 1.0, True, np.float64(1.0), 0.5, 1.49, 0.0, -0.0, -1.0,
+           5e-324, 1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_states())
+def test_unoffered_choice_equals_the_uncached_loop(state):
+    for w in WEIGHTS:
+        got = negotiate(state, negotiation._NO_OFFER, negotiation._NO_OFFER, w)
+        want = negotiate(state, [0.0] * 13, [0.0] * 13, w)
+        if isinstance(want, DeadEnd):
+            assert got == want, w
+            continue
+        assert got.pair == want.pair, w
+        assert float.hex(float(got.utility)) == float.hex(float(want.utility))
+        assert type(got.utility) is type(want.utility), w

@@ -7,22 +7,25 @@ For ``compose``, a complete duet validates, and spelling out an omitted
 flag with its default value changes neither stdout nor the ``--trace``
 file.  For ``validate``, a text that parses prints its report and exits
 0 exactly when the duet is legal.  For ``generate``, a run that exits 0
-prints one line per voice of ``--length`` notes.
+prints one line per voice of ``--length`` notes.  For ``train``, a refusal
+writes neither the checkpoint nor the curve, and a run that exits 0 saves
+a net that ``load_net`` reads and a curve of one row per epoch.
 """
 
 import contextlib
 import io
 import signal
 from datetime import timedelta
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bicinium.cli import main
-from bicinium.corpus import parse_duet_text
+from bicinium.corpus import parse_corpus, parse_duet_text
 from bicinium.gamut import GAMUT
 from bicinium.rules import validate_duet
-from bicinium.seqnet import SequentialNet, save_net
+from bicinium.seqnet import SequentialNet, load_net, save_net
 
 from conftest import AGENT_ONLY_DUET, NONDET_DUETS, TRAINING_DUET
 
@@ -259,3 +262,94 @@ def test_generate_argv(workdir, options, plan, voices, drawn):
             notes = line[len(prefix):].split()
             assert len(notes) == int(options.get("--length", "8"))
             assert set(notes) <= set(NAMES)
+
+
+# ---------------------------------------------------------------- train
+
+# Small sizes only: neither --hidden nor --epochs has an upper cap, and a
+# huge value allocates without bound or trains for hours.  --epochs is
+# always given, as the default of 500 would dominate the run time.
+# Most values are valid, so that a fair share of runs train.
+TRAIN_VALUES = {
+    "--hidden": st.sampled_from([str(n) for n in range(1, 7)] * 2
+                                + ["-1", "0", "2.5"]),
+    "--lr": st.sampled_from(["2.0"] * 3 + ["0", "-1", "nan", "inf"]),
+    "--decay": st.sampled_from(["0.7"] * 3 + ["-0.1", "0", "1.0", "nan"]),
+    "--seed": st.integers(-3, 50).map(str),
+}
+CORPORA = [(resources.files("bicinium.data") / name).read_text()
+           for name in ("cantus_one_voice.txt", "duets_two_voice.txt")]
+
+
+@st.composite
+def corpus_texts(draw):
+    """Bytes of a corpus file: a bundled corpus, then a few edits of its
+    lines, each of which may leave it valid or not."""
+    lines = draw(st.sampled_from(CORPORA)).splitlines()
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["note"] * 3 + ["token", "drop", "copy",
+                                                  "label", "blank"]))
+        line = lines[at] if at < len(lines) else ""
+        if edit in ("note", "token") and line.split():
+            tokens = line.split()
+            pool = NAMES if edit == "note" else ["xx", "re9", "V3:", "1"]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(pool))
+            lines[at] = " ".join(tokens)
+        elif edit == "drop" and at < len(lines):
+            del lines[at]
+        elif edit == "copy":
+            lines.insert(at, line)
+        elif edit == "label":
+            lines.insert(at, draw(st.sampled_from(
+                ["label: 1 0", "label: 0 1 0 0", "label:", "label: nan 0",
+                 "label: x"])))
+        elif edit == "blank":
+            lines.insert(at, "")
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(st.sampled_from([False] * 15 + [True])):  # not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff\xfe" + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def traindir(workdir):
+    path = workdir / "train"
+    (path / "adir").mkdir(parents=True)
+    return path
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(options=st.fixed_dictionaries({}, optional=TRAIN_VALUES),
+       epochs=st.sampled_from(["1", "2", "3"] * 3 + ["-1", "0", "x"]),
+       data=corpus_texts(),
+       corpus=st.sampled_from(["corpus.txt"] * 8 + ["adir", None]),
+       out=st.sampled_from(["net.ckpt"] * 8 + ["adir", "no/net.ckpt", None]),
+       curve=st.sampled_from(["curve.csv"] * 3 + [None] * 3
+                             + ["adir", "no/curve.csv"]))
+def test_train_argv(traindir, options, epochs, data, corpus, out, curve):
+    (traindir / "corpus.txt").write_bytes(data)
+    for name in ("net.ckpt", "curve.csv"):
+        (traindir / name).unlink(missing_ok=True)
+    argv = ["train", "--epochs", epochs,
+            *(t for item in options.items() for t in item)]
+    for flag, path in (("--corpus", corpus), ("--out", out),
+                       ("--curve", curve)):
+        if path:
+            argv += [flag, str(traindir / path)]
+    code, stdout, err = call(argv)
+
+    assert_boundary("train", code, err)
+    written = sorted(p.name for p in traindir.iterdir())
+    if code:
+        assert err and stdout == ""
+        assert written == ["adir", "corpus.txt"]  # no checkpoint, no curve
+        return
+    assert err == "" and stdout.startswith("trained ")
+    net = load_net(traindir / out)
+    assert net.voices == parse_corpus(data.decode()).voices
+    if curve:
+        rows = (traindir / curve).read_text().splitlines()
+        assert rows[0] == "epoch,mse" and len(rows) == 1 + int(epochs)

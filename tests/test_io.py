@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -313,6 +315,39 @@ def test_cli_train_refuses_empty_or_non_finite_label(label, tmp_path,
     assert_one_line_refusal(code, captured.err, "train",
                             "line 1: a label needs at least one value")
     assert captured.out == "" and not out.exists()
+
+
+# A learning rate this large saturates every sigmoid: np.exp overflows to
+# inf, and the unit reads exactly 0.0.  The digest was recorded before the
+# overflow warnings were silenced.
+SATURATED = (
+    ("train", "--corpus", "cantus.txt", "--hidden", "4", "--epochs", "3",
+     "--lr", "1e200", "--seed", "1", "--out", "big.ckpt", "--curve",
+     "big.csv"),
+    ("generate", "--net", "big.ckpt", "--plan", "1,0,0,0", "--length", "8"),
+    ("compose", "--netA", "big.ckpt", "--netB", "big.ckpt", "--start",
+     "none"),
+)
+SATURATED_SHA256 = ("582583750739675aaa034d4cb8df91e5"
+                    "7966798b081e8ccf392a7104d755e324")
+
+
+def test_cli_saturated_net_runs_without_overflow_warnings(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cantus.txt").write_bytes(
+        data_path("cantus_one_voice.txt").read_bytes())
+    digest = hashlib.sha256()
+    for argv in SATURATED:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.err, caught) == (0, "", []), argv[0]
+        digest.update(f"{' '.join(argv)}\n{captured.out}\n".encode())
+    for name in ("big.ckpt", "big.csv"):
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == SATURATED_SHA256
 
 
 def test_cli_generate_truncated_checkpoint(tmp_path, capsys):
