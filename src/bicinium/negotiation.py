@@ -19,6 +19,7 @@ rule key and the weight, so it is made once per (key, weight) and cached.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -44,9 +45,11 @@ class UtilityWeights:
     def __post_init__(self):
         if self.mode not in ("deterministic", "coin_toss"):
             raise ValueError(f"unknown utility mode {self.mode!r}")
-        if not (0 < self.cm_weight < math.inf):
-            raise ValueError(
-                f"cm_weight must be positive and finite, got {self.cm_weight}")
+        # A real number only: the agent-only choice is cached on it.
+        if not (isinstance(self.cm_weight, numbers.Real)
+                and 0 < self.cm_weight < math.inf):
+            raise ValueError("cm_weight must be positive and finite, "
+                             f"got {self.cm_weight!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def _candidates(key: tuple) -> tuple[tuple[int, int, int, float], ...]:
     The bonus is 0.0 at the opening (previous-pair bit -1).  Unbounded:
     there are few keys."""
     bits = _rules_at(key)[0]
-    prev = _PAIRS[key[2]] if key[2] >= 0 else None
+    prev = _PAIRS[key[0]] if key[0] >= 0 else None
     return tuple([(k, pair[0].index, pair[1].index,
                    contrary_motion_bonus(prev, pair) if prev else 0.0)
                   for k, pair in enumerate(_PAIRS) if bits >> k & 1])

@@ -71,20 +71,28 @@ class RuleVerdict:
 
 @dataclass(frozen=True, slots=True)
 class DuetState:
-    """Composition-so-far plus the cached counters rules 7 and 10 need.
+    """Composition-so-far plus the rule key the next position reads.
 
     The constructor takes only ``length`` and, by keyword, ``finalis``,
-    and starts an empty duet.  The history and the counters derived from
-    it grow only through ``append`` (or ``from_history``), so they cannot
-    disagree.
+    and starts an empty duet.  The history and the key derived from it
+    grow only through ``append`` (or ``from_history``), so they cannot
+    disagree.  ``_key`` is (the previous pair's bit or -1, the imperfect
+    family of the current run or 0, that run's length capped at
+    MAX_IMPERFECT_RUN, the interior perfects capped at
+    MAX_INTERIOR_PERFECT, last, finalis due), or None once complete.
     """
 
     length: int
     history: tuple[NotePair, ...] = field(default=(), init=False)
     finalis: bool = field(default=True, kw_only=True)
-    # (family, run length)
-    imperfect_run: tuple[int, int] = field(default=(0, 0), init=False)
-    interior_perfect_count: int = field(default=0, init=False)
+    _key: tuple[int, int, int, int, bool, bool] | None = field(
+        default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        # The opening's key; a duet of no bars is complete at once.
+        last = self.length == 1
+        key = (-1, 0, 0, 0, last, self.finalis and last)
+        object.__setattr__(self, "_key", key if self.length > 0 else None)
 
     @property
     def position(self) -> int:
@@ -95,40 +103,28 @@ class DuetState:
     def complete(self) -> bool:
         return len(self.history) == self.length
 
-    @property
-    def _key(self) -> tuple[bool, bool, int, int, bool, bool]:
-        """What the rules read at the next position: (opening, last, the
-        previous pair's bit or -1, the family whose run is at the cap or 0,
-        interior perfects at the cap, finalis due)."""
-        t = len(self.history)
-        if t >= self.length:
-            raise ValueError(f"position {t} beyond duet length {self.length}")
-        last = t == self.length - 1
-        fam, run = self.imperfect_run
-        return (t == 0, last,
-                pair_bit(self.history[-1]) if t else -1,
-                fam if run >= MAX_IMPERFECT_RUN else 0,
-                self.interior_perfect_count >= MAX_INTERIOR_PERFECT,
-                self.finalis and last)
-
     def append(self, pair: NotePair) -> "DuetState":
-        t = len(self.history)
-        if t >= self.length:
+        if self._key is None:
             raise ValueError("duet already complete")
+        prev_bit, prev_fam, run, interior, last, _ = self._key
         k = pair_bit(pair)
         fam = 3 if _FAMILY[3] >> k & 1 else 6 if _FAMILY[6] >> k & 1 else 0
-        prev_fam, prev_run = self.imperfect_run
-        run = (fam, prev_run + 1 if fam == prev_fam else 1) if fam else (0, 0)
-        interior = self.interior_perfect_count
-        if _PERFECT >> k & 1 and 0 < t < self.length - 1:
+        if fam != prev_fam:
+            run = 1 if fam else 0
+        elif fam and run < MAX_IMPERFECT_RUN:
+            run += 1
+        if (_PERFECT >> k & 1 and prev_bit >= 0 and not last
+                and interior < MAX_INTERIOR_PERFECT):
             interior += 1
+        t = len(self.history) + 1
+        last = t == self.length - 1
         # The constructor sets only length and finalis: fill every field.
         nxt, put = object.__new__(DuetState), object.__setattr__
         put(nxt, "length", self.length)
         put(nxt, "history", self.history + (pair,))
         put(nxt, "finalis", self.finalis)
-        put(nxt, "imperfect_run", run)
-        put(nxt, "interior_perfect_count", interior)
+        put(nxt, "_key", (k, fam, run, interior, last, self.finalis and last)
+            if t < self.length else None)
         return nxt
 
     @classmethod
@@ -199,20 +195,22 @@ def _motion_masks(prev_bit: int) -> tuple[int, int, int, int]:
 
 
 @cache
-def _rules_at(key: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _rules_at(key: tuple | None) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(legal mask, ((rule, mask), ...)) at a state with this key: the
     pairs that break no rule, and every rule that applies with its mask."""
-    opening, last, prev_bit, run_family, interior_full, finalis_due = key
+    if key is None:
+        raise ValueError("position beyond duet length: the duet is complete")
+    prev_bit, run_family, run, interior, last, finalis_due = key
     masks = [(1, _DISSONANT), (6, _WIDE)]
-    if opening or last:
+    if prev_bit < 0 or last:
         masks.append((2, _NOT_PERFECT))
     else:
         masks.append((3, _UNISON))
-        if interior_full:
+        if interior >= MAX_INTERIOR_PERFECT:
             masks.append((10, _PERFECT))
     if prev_bit >= 0:
         masks.extend(zip((4, 5, 8, 9), _motion_masks(prev_bit)))
-    if run_family:
+    if run >= MAX_IMPERFECT_RUN:
         masks.append((7, _FAMILY[run_family]))
     if finalis_due:
         masks.append((11, _OFF_FINALIS))

@@ -24,6 +24,8 @@ from .gamut import GAMUT, Pitch, interval_steps
 __all__ = [
     "NOTE_CODE_SIZE",
     "MAX_LENGTH",
+    "MAX_HIDDEN",
+    "MAX_EPOCHS",
     "SequentialNet",
     "encode_note",
     "forward",
@@ -40,6 +42,11 @@ NOTE_CODE_SIZE = 19
 # The most notes ``generate`` free-runs, and the most bars ``compose``
 # writes: a limit on input, not a setting.
 MAX_LENGTH = 1000
+# The widest hidden layer a net may have and the most epochs ``train``
+# runs: limits on input, far above any recipe in the project (hidden 40,
+# 1,500 epochs).
+MAX_HIDDEN = 1000
+MAX_EPOCHS = 100_000
 _PITCH_UNITS = 8
 _ASCEND, _DESCEND = 17, 18
 
@@ -150,6 +157,9 @@ def _check_limits(plan_size: int, hidden_size: int, voices: int,
         raise ValueError(f"plan_size must be at least 1, got {plan_size}")
     if hidden_size < 1:
         raise ValueError(f"hidden_size must be at least 1, got {hidden_size}")
+    if hidden_size > MAX_HIDDEN:
+        raise ValueError(f"hidden_size must be at most {MAX_HIDDEN}, "
+                         f"got {hidden_size}")
     if voices < 1:
         raise ValueError(f"voices must be at least 1, got {voices}")
     if not 0 <= decay < 1:
@@ -257,6 +267,8 @@ def train(net: SequentialNet, corpus, epochs: int = 500,
     import numpy as np
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if epochs > MAX_EPOCHS:
+        raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs}")
     if not 0 <= learning_rate < np.inf:
         raise ValueError("learning rate must be finite and non-negative, "
                          f"got {learning_rate}")

@@ -3,7 +3,7 @@
 This is the reference the rule masks in ``bicinium.rules`` are checked
 against: it reads the state's length, ``finalis`` and history and the
 pair directly, with no table.  The counts rules 7 and 10 need are
-recomputed from the history, not read from the counters ``append`` keeps.
+recomputed from the history, not read from the rule key ``append`` keeps.
 """
 
 from bicinium.gamut import (

@@ -236,7 +236,10 @@ def bar_weights(cfg, bars):
 
 
 def test_legality_cache_misses_once_per_key():
+    # the candidate tables are cleared too: one left by an earlier test
+    # would answer a dead-end bar without reading the rules
     rules._rules_at.cache_clear()
+    negotiation._candidates.cache_clear()
     net1, net2 = SequentialNet.new(seed=1), SequentialNet.new(seed=2)
     result = compose(net1, net2, CompositionConfig(length=12, start_pair=None))
     keys = set(negotiated_keys(result, 12))

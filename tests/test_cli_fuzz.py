@@ -25,7 +25,8 @@ from bicinium.cli import main
 from bicinium.corpus import parse_corpus, parse_duet_text
 from bicinium.gamut import GAMUT
 from bicinium.rules import validate_duet
-from bicinium.seqnet import SequentialNet, load_net, save_net
+from bicinium.seqnet import (MAX_EPOCHS, MAX_HIDDEN, SequentialNet,
+                             load_net, save_net)
 
 from conftest import AGENT_ONLY_DUET, NONDET_DUETS, TRAINING_DUET
 
@@ -266,13 +267,14 @@ def test_generate_argv(workdir, options, plan, voices, drawn):
 
 # ---------------------------------------------------------------- train
 
-# Small sizes only: neither --hidden nor --epochs has an upper cap, and a
-# huge value allocates without bound or trains for hours.  --epochs is
-# always given, as the default of 500 would dominate the run time.
-# Most values are valid, so that a fair share of runs train.
+# Valid sizes are small, and the values above MAX_HIDDEN and MAX_EPOCHS
+# are refused before anything is built or trained.  --epochs is always
+# given, as the default of 500 would dominate the run time.  Most values
+# are valid, so that a fair share of runs train.
 TRAIN_VALUES = {
     "--hidden": st.sampled_from([str(n) for n in range(1, 7)] * 2
-                                + ["-1", "0", "2.5"]),
+                                + ["-1", "0", "2.5", str(MAX_HIDDEN + 1),
+                                   str(10**12)]),
     "--lr": st.sampled_from(["2.0"] * 3 + ["0", "-1", "nan", "inf"]),
     "--decay": st.sampled_from(["0.7"] * 3 + ["-0.1", "0", "1.0", "nan"]),
     "--seed": st.integers(-3, 50).map(str),
@@ -323,7 +325,8 @@ def traindir(workdir):
 
 @settings(max_examples=200, deadline=timedelta(seconds=5))
 @given(options=st.fixed_dictionaries({}, optional=TRAIN_VALUES),
-       epochs=st.sampled_from(["1", "2", "3"] * 3 + ["-1", "0", "x"]),
+       epochs=st.sampled_from(["1", "2", "3"] * 3 + ["-1", "0", "x",
+                              str(MAX_EPOCHS + 1), str(10**12)]),
        data=corpus_texts(),
        corpus=st.sampled_from(["corpus.txt"] * 8 + ["adir", None]),
        out=st.sampled_from(["net.ckpt"] * 8 + ["adir", "no/net.ckpt", None]),

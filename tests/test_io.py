@@ -15,7 +15,8 @@ from bicinium.corpus import (
     render_text,
 )
 from bicinium.midi import duet_to_midi_bytes, write_midi
-from bicinium.seqnet import SequentialNet, generate, save_net
+from bicinium.seqnet import (MAX_EPOCHS, MAX_HIDDEN, SequentialNet,
+                             generate, save_net)
 
 from conftest import AGENT_ONLY_DUET, TRAINING_DUET, pitches
 
@@ -384,6 +385,10 @@ def assert_one_line_refusal(code, err, command, message):
     (["--decay", "1"], "decay must be in [0, 1), got 1.0"),
     (["--decay", "-0.1"], "decay must be in [0, 1), got -0.1"),
     (["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--epochs", str(MAX_EPOCHS + 1)],
+     f"epochs must be at most {MAX_EPOCHS}, got {MAX_EPOCHS + 1}"),
+    (["--hidden", str(10**12)],
+     f"hidden_size must be at most {MAX_HIDDEN}, got {10**12}"),
 ])
 def test_cli_train_rejects_bad_flags(flags, message, tmp_path, capsys):
     out = tmp_path / "net.ckpt"
@@ -480,11 +485,13 @@ def _shrunk(net, **sizes):
     ({"decay": -1.0}, "decay must be in [0, 1), got -1.0"),
     ({"decay": float("nan")}, "decay must be in [0, 1), got nan"),
     ({"hidden_size": 0}, "hidden_size must be at least 1, got 0"),
+    ({"hidden_size": MAX_HIDDEN + 1},
+     f"hidden_size must be at most {MAX_HIDDEN}, got {MAX_HIDDEN + 1}"),
     ({"voices": 0}, "voices must be at least 1, got 0"),
     ({"plan_size": -4}, "plan_size must be at least 1, got -4"),
     ({"plan_size": 0}, "plan_size must be at least 1, got 0"),
-], ids=["decay-5", "decay-minus-1", "decay-nan", "hidden-0", "voices-0",
-        "plan-minus-4", "plan-0"])
+], ids=["decay-5", "decay-minus-1", "decay-nan", "hidden-0", "hidden-max",
+        "voices-0", "plan-minus-4", "plan-0"])
 def test_cli_generate_refuses_header_outside_limits(sizes, message, tmp_path,
                                                     capsys):
     # each used to print notes and exit 0, or fail without naming the file

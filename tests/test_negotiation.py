@@ -130,6 +130,13 @@ def test_utility_weights_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             UtilityWeights(cm_weight=bad)
+    # not a real number: the agent-only choice is cached on the weight, and
+    # a 0-d array is unhashable
+    for bad in (np.array(1.0), "1.0"):
+        with pytest.raises(ValueError, match="cm_weight"):
+            UtilityWeights(cm_weight=bad)
+    for good in (1, True, np.float64(1.0)):
+        assert UtilityWeights(cm_weight=good).cm_weight is good
 
 
 def test_negotiate_second_pair_zero_activations(p):

@@ -1,15 +1,19 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicinium.gamut import GAMUT, IntervalQuality, interval_quality, interval_steps
+from bicinium.negotiation import negotiate, system_utility
 from bicinium.rules import (
+    MAX_IMPERFECT_RUN,
+    MAX_INTERIOR_PERFECT,
     DuetState,
     check_pair,
     legal_bits,
     legal_pairs,
+    pair_bit,
     validate_duet,
 )
 
@@ -66,7 +70,6 @@ def test_repeat_breaks_rule_9(p):
 def test_fifth_run_of_thirds_breaks_rule_7(p):
     history = pairs("re8 si la sol fa", "re8 re8 do8 si la")
     state = DuetState.from_history(8, history)
-    assert state.imperfect_run == (3, 4)
     assert 7 in check_pair(state, (p("mi"), p("sol"))).violations
     # a sixth resets the family even though it is also imperfect
     assert 7 not in check_pair(state, (p("re"), p("si"))).violations
@@ -75,7 +78,6 @@ def test_fifth_run_of_thirds_breaks_rule_7(p):
 def test_third_interior_perfect_breaks_rule_10(p):
     history = pairs("re8 re la", "re8 la mi8")
     state = DuetState.from_history(8, history)
-    assert state.interior_perfect_count == 2
     assert 10 in check_pair(state, (p("fa"), p("do8"))).violations
     assert 10 not in check_pair(state, (p("fa"), p("la"))).violations
 
@@ -89,9 +91,17 @@ def test_finalis_rule_11(p):
 
 
 def test_check_pair_beyond_length_raises(p):
+    # every reader of the rule key refuses a complete duet
     state = DuetState.from_history(2, pairs("re8 re", "re8 re"))
-    with pytest.raises(ValueError, match="beyond"):
-        check_pair(state, (p("re"), p("re")))
+    pair, zero = (p("re"), p("re")), [0.0] * 13
+    for read in (lambda: check_pair(state, pair),
+                 lambda: legal_pairs(state),
+                 lambda: negotiate(state, zero, zero),
+                 lambda: system_utility(state, pair, zero, zero)):
+        with pytest.raises(ValueError, match="beyond"):
+            read()
+    with pytest.raises(ValueError, match="already complete"):
+        state.append(pair)
 
 
 @pytest.mark.parametrize("v1,v2", [AGENT_ONLY_DUET, TRAINING_DUET] + NONDET_DUETS)
@@ -152,29 +162,44 @@ def test_dead_end_state_exists(p):
     assert legal_pairs(state) == []
 
 
+# Thirds make runs at the rule-7 cap common enough to reach, and perfects
+# interior counts at the rule-10 cap.
+third_or_any = st.sampled_from([(a, b) for a in GAMUT for b in GAMUT
+                                if interval_steps(a, b) in (2, 9)]) | note_pair
+perfect_pair = st.sampled_from([
+    (a, b) for a in GAMUT for b in GAMUT
+    if interval_quality(a, b) is IntervalQuality.PERFECT_CONSONANT])
+
+
 @st.composite
 def random_states(draw):
     length = draw(st.integers(3, 10))
     n = draw(st.integers(0, length - 1))
-    history = tuple(draw(note_pair) for _ in range(n))
+    pairs_of = draw(st.sampled_from([third_or_any, perfect_pair | note_pair]))
+    history = tuple(draw(pairs_of) for _ in range(n))
     return DuetState.from_history(length, history)
 
 
 @settings(max_examples=200)
 @given(random_states())
 def test_cached_counters_match_recompute(state):
-    # the rule-7/rule-10 counters equal the oracle's scan of the history
+    # the rule key's slots equal the oracle's scan of the history, with
+    # the rule-7 run and the rule-10 count capped at their thresholds
     fam, run, interior = history_counters(state)
-    assert state.interior_perfect_count == interior
-    assert state.imperfect_run == (fam, run)
+    t = state.position
+    last = t == state.length - 1
+    assert state._key == (pair_bit(state.history[-1]) if t else -1, fam,
+                          min(run, MAX_IMPERFECT_RUN),
+                          min(interior, MAX_INTERIOR_PERFECT),
+                          last, state.finalis and last)
 
 
 def test_constructor_takes_no_history_or_counters():
-    # a history passed in would keep the empty duet's counters and so
-    # disagree with them; only append and from_history grow a state
+    # a history passed in would keep the empty duet's rule key and so
+    # disagree with it; only append and from_history grow a state
     history = pairs("re8 do8 si la", "fa8 mi8 re8 do8")  # four thirds
-    for field, value in (("history", history), ("imperfect_run", (3, 4)),
-                         ("interior_perfect_count", 2)):
+    for field, value in (("history", history),
+                         ("_key", (-1, 3, 4, 0, False, False))):
         with pytest.raises(TypeError, match=field):
             DuetState(8, **{field: value})
     with pytest.raises(TypeError):
@@ -229,26 +254,45 @@ def test_legal_pairs_matches_brute_force(state):
     assert legal_bits(state).bit_count() == len(expected)
 
 
-# Thirds make runs at the rule-7 cap common enough to reach.
-third_or_any = st.sampled_from([(a, b) for a in GAMUT for b in GAMUT
-                                if interval_steps(a, b) in (2, 9)]) | note_pair
+def key_class(pair):
+    """What a pair before the last adds to the rule key: its imperfect
+    family (rule 7) and whether it is perfect (rule 10)."""
+    steps = interval_steps(*pair)
+    return (3 if steps in (2, 9) else 6 if steps in (5, 12) else 0,
+            interval_quality(*pair) is IntervalQuality.PERFECT_CONSONANT)
+
+
+PAIRS_OF_CLASS = {}
+for _pair in ALL_PAIRS:
+    PAIRS_OF_CLASS.setdefault(key_class(_pair), []).append(_pair)
 
 
 @st.composite
 def same_key_states(draw):
-    """A state from ``any_states`` and another state with the same rule key:
-    it keeps at most the first state's last few pairs after a new prefix,
-    and may differ in length and ``finalis``."""
-    a = draw(any_states())
-    # Keeping no pair tests the previous pair's part of the key; keeping
-    # one lets the new prefix set the run and the interior count.
-    keep = draw(st.sampled_from([0, 1, 1]) | st.integers(0, 19))
-    kept = a.history[max(0, len(a.history) - keep):]
-    prefix = tuple(draw(st.lists(third_or_any, max_size=19 - len(kept))))
-    history = prefix + kept
-    length = draw(st.integers(len(history) + 1, 20))
-    b = DuetState.from_history(length, history, finalis=draw(st.booleans()))
-    assume(a._key == b._key)
+    """A state after arbitrary pairs and another state with the same rule
+    key: it keeps the first state's last few pairs, at least the last one,
+    and replaces each earlier pair by one of the same ``key_class``.  When
+    the first pair is not perfect, pairs of neither family that are not
+    perfect may go before it, so the second state sits at a later position.
+    It may differ in length and ``finalis`` where the key does not read
+    them."""
+    length = draw(st.integers(2, 20))
+    history = tuple(draw(st.lists(third_or_any, max_size=length - 1)))
+    a = DuetState.from_history(length, history, finalis=draw(st.booleans()))
+    n = len(history)
+    keep = draw(st.integers(min(n, 1), n))
+    history = tuple(draw(st.sampled_from(PAIRS_OF_CLASS[key_class(pair)]))
+                    for pair in history[:n - keep]) + history[n - keep:]
+    if n and not key_class(history[0])[1]:
+        history = tuple(draw(st.lists(st.sampled_from(
+            PAIRS_OF_CLASS[0, False]), max_size=max(0, 18 - n)))) + history
+    t = len(history)
+    if n == length - 1:  # last: the length and finalis are in the key
+        b = DuetState.from_history(t + 1, history, finalis=a.finalis)
+    else:
+        b = DuetState.from_history(draw(st.integers(t + 2, 20)), history,
+                                   finalis=draw(st.booleans()))
+    assert a._key == b._key
     return a, b
 
 
