@@ -148,9 +148,11 @@ def _cmd_compose(args) -> int:
     hashes = ["-", "-"]
     plans = {f"plan{i}": plan for i, plan in ((1, args.plan1), (2, args.plan2))
              if plan is not None}
-    if args.agent_only and plans:
-        print("bicinium compose: --plan1 and --plan2 set the nets' plans "
-              "and cannot be used with --agent-only", file=sys.stderr)
+    if args.agent_only and (plans or args.netA is not None
+                            or args.netB is not None):
+        print("bicinium compose: --netA, --netB, --plan1 and --plan2 set the "
+              "nets and their plans and cannot be used with --agent-only",
+              file=sys.stderr)
         return 2
     if not args.agent_only:
         if not args.netA or not args.netB:

@@ -13,6 +13,7 @@ its net state.  Dead ends stop the run; there is no backtracking.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ from .gamut import NotePair, Pitch, pitch_from_name
 from .negotiation import (
     _NO_OFFER,
     COIN_VALUES,
-    Agreement,
     DeadEnd,
     UtilityWeights,
     negotiate,
@@ -30,8 +30,7 @@ from .rules import DuetState, check_pair, legal_bits
 from .seqnet import (MAX_LENGTH, SequentialNet, _feedback_code, forward,
                      map_to_gamut, step_state)
 
-__all__ = ["CompositionConfig", "StepTrace", "CompositionResult",
-           "draw_step_weight", "compose"]
+__all__ = ["CompositionConfig", "StepTrace", "CompositionResult", "compose"]
 
 _DEFAULT_START = (pitch_from_name("re8"), pitch_from_name("re8"))
 
@@ -48,6 +47,11 @@ class CompositionConfig:
     agent_only: bool = False
 
     def __post_init__(self):
+        for name in ("length", "seed"):
+            value = getattr(self, name)
+            # int first: it passes without the ABC's slower Python-level check
+            if not isinstance(value, (int, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.length < 2:
             raise ValueError("length must be at least 2")
         if self.length > MAX_LENGTH:
@@ -87,21 +91,13 @@ class CompositionResult:
                 tuple([p[1] for p in self.pairs]))
 
 
-def draw_step_weight(rng: np.random.Generator,
-                     weights: UtilityWeights) -> float:
-    """Fair-coin draw of the contrary-motion weight for one step."""
-    if weights.mode != "coin_toss":
-        raise ValueError("draw_step_weight requires coin_toss mode")
-    return COIN_VALUES[int(rng.integers(2))]
-
-
 def compose(net1: SequentialNet | None, net2: SequentialNet | None,
             cfg: CompositionConfig) -> CompositionResult:
     """Run the negotiation loop for cfg.length steps.
 
     Each agent is one record, ``[net, plan array, state units]``, and
-    agent-only mode has none: both activation vectors are zero and the
-    nets may be None.  Otherwise each agent runs its own net and feeds
+    agent-only mode has none: both activation vectors are zero and both
+    nets must be None.  Otherwise each agent runs its own net and feeds
     back the encoded note of every agreement.  Output is fully determined
     by (nets, cfg): the only randomness is the seeded coin toss.  A start
     pair that breaks a rule at the opening, a net that is not a one-voice
@@ -110,7 +106,10 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     """
     agents = []
     quiet = nullcontext()
-    if not cfg.agent_only:
+    if cfg.agent_only:
+        if net1 is not None or net2 is not None:
+            raise ValueError("agent_only runs no net; pass None for both nets")
+    else:
         if net1 is None or net2 is None:
             raise ValueError("both nets are required unless agent_only is set")
         import numpy as np
@@ -145,7 +144,7 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     with quiet:
         for t in range(cfg.length):
             if coin_toss:
-                w = draw_step_weight(rng, cfg.weights)
+                w = COIN_VALUES[int(rng.integers(2))]  # a fair coin
             else:
                 w = cfg.weights.cm_weight
 

@@ -19,8 +19,6 @@ __all__ = [
     "pitch_from_name",
     "interval_steps",
     "signed_interval",
-    "interval_semitones",
-    "interval_class",
     "interval_quality",
     "motion",
 ]
@@ -94,15 +92,6 @@ def signed_interval(pair: NotePair) -> int:
     return pair[1].index - pair[0].index
 
 
-def interval_semitones(a: Pitch, b: Pitch) -> int:
-    return abs(a.semitone - b.semitone)
-
-
-def interval_class(a: Pitch, b: Pitch) -> int:
-    """Interval size folded to one octave: 0 unison/octave, 2 third, ..."""
-    return interval_steps(a, b) % 7
-
-
 def interval_quality(a: Pitch, b: Pitch) -> IntervalQuality:
     """Consonance class of the interval.
 
@@ -110,7 +99,7 @@ def interval_quality(a: Pitch, b: Pitch) -> IntervalQuality:
     the one diminished fifth in the gamut (si-fa8, 6 semitones) is
     dissonant.
     """
-    cls = interval_class(a, b)
+    cls = interval_steps(a, b) % 7  # 0 unison/octave, 2 third, ...
     if cls in (1, 3, 6):
         return IntervalQuality.DISSONANT
     if cls in (2, 5):
@@ -118,7 +107,7 @@ def interval_quality(a: Pitch, b: Pitch) -> IntervalQuality:
     if cls == 0:
         return IntervalQuality.PERFECT_CONSONANT
     # class 4: perfect or diminished fifth
-    if interval_semitones(a, b) % 12 == 7:
+    if abs(a.semitone - b.semitone) % 12 == 7:
         return IntervalQuality.PERFECT_CONSONANT
     return IntervalQuality.DISSONANT
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
-from .gamut import Pitch
-
 __all__ = ["duet_to_midi_bytes", "write_midi"]
 
 TICKS_PER_QUARTER = 480

@@ -236,6 +236,8 @@ def _teacher_samples(net: SequentialNet, corpus):
         plan = np.asarray(plan, dtype=float)
         if plan.shape != (net.plan_size,):
             raise ValueError("plan label size mismatch")
+        if not np.isfinite(plan).all():
+            raise ValueError("plan label holds a non-finite value")
         if len(voices) != net.voices:
             raise ValueError(f"net expects {net.voices} voice(s)")
         state = net.fresh_state()

@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bicinium.composer import CompositionConfig, compose, draw_step_weight
+from bicinium.composer import CompositionConfig, compose
 from bicinium.corpus import load_corpus, render_text
 from bicinium.midi import duet_to_midi_bytes
 from bicinium.negotiation import (
@@ -205,13 +205,20 @@ def test_criterion_7_end_to_end(tmp_path):
     report(7, outcome_ok, detail)
 
 
-def test_criterion_8_coin_toss_mode():
+def coin_toss_weights(seeds):
+    """The weight of every bar of agent-only coin-toss composes, one per
+    seed, as each trace records it."""
     weights = UtilityWeights(mode="coin_toss")
-    rng = np.random.default_rng(2718)
-    draws = [draw_step_weight(rng, weights) for _ in range(10_000)]
+    return [s.weight for seed in seeds
+            for s in compose(None, None, CompositionConfig(
+                length=20, weights=weights, seed=seed, start_pair=None,
+                agent_only=True)).trace]
+
+
+def test_criterion_8_coin_toss_mode():
+    draws = coin_toss_weights(range(2000))
     values_ok = set(draws) <= set(COIN_VALUES)
     freq = draws.count(1.49) / len(draws)
-    rng2 = np.random.default_rng(2718)
-    replay = [draw_step_weight(rng2, weights) for _ in range(10_000)]
+    replay = coin_toss_weights(range(2000))
     report(8, values_ok and 0.47 <= freq <= 0.53 and replay == draws,
            f"freq(1.49) = {freq:.3f}, sequence seed-reproducible")

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from bicinium import negotiation, rules, seqnet
 from bicinium.cli import main
-from bicinium.composer import CompositionConfig, compose, draw_step_weight
+from bicinium.composer import CompositionConfig, compose
 from bicinium.gamut import GAMUT, Pitch
 from bicinium.negotiation import (
+    COIN_VALUES,
     DeadEnd,
     UtilityWeights,
     contrary_motion_bonus,
@@ -232,7 +233,7 @@ def bar_weights(cfg, bars):
     if cfg.weights.mode != "coin_toss":
         return [cfg.weights.cm_weight] * bars
     rng = np.random.default_rng(cfg.seed)
-    return [draw_step_weight(rng, cfg.weights) for _ in range(bars)]
+    return [COIN_VALUES[int(rng.integers(2))] for _ in range(bars)]
 
 
 def test_legality_cache_misses_once_per_key():

@@ -108,13 +108,15 @@ def run(argv, trace):
 @given(options=st.fixed_dictionaries({}, optional=VALUES),
        agent_only=st.booleans(), no_finalis=st.booleans(),
        net_a=st.sampled_from(["a", "a", "a", None, "plan3", "two_voice"]),
-       net_b=st.sampled_from(["b", "b", "b", None]), midi=st.booleans())
+       net_b=st.sampled_from(["b", "b", "b", None]), midi=st.booleans(),
+       nets_with_agent_only=st.sampled_from([False, False, False, True]))
 def test_compose_argv(workdir, options, agent_only, no_finalis, net_a, net_b,
-                      midi):
+                      midi, nets_with_agent_only):
     argv = ["compose", *(t for item in options.items() for t in item)]
     argv += ["--agent-only"] * agent_only + ["--no-finalis"] * no_finalis
+    # agent-only mode refuses nets, so it is given them only now and then
     for flag, net in (("--netA", net_a), ("--netB", net_b)):
-        if net:
+        if net and (nets_with_agent_only or not agent_only):
             argv += [flag, str(workdir / f"{net}.ckpt")]
     if midi:
         argv += ["--midi", str(workdir / "duet.mid")]

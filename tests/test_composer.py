@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bicinium.composer import CompositionConfig, compose, draw_step_weight
+from bicinium.composer import CompositionConfig, compose
 from bicinium.negotiation import COIN_VALUES, UtilityWeights
 from bicinium.gamut import GAMUT
 from bicinium.rules import DuetState, check_pair, validate_duet
@@ -53,6 +53,11 @@ def test_compose_is_deterministic():
 def test_compose_requires_nets_without_agent_only():
     with pytest.raises(ValueError, match="nets"):
         compose(None, None, CompositionConfig())
+    # and agent-only mode, which runs no net, takes none
+    net = SequentialNet.new(seed=1)
+    for nets in ((net, None), (None, "not a net"), (net, net)):
+        with pytest.raises(ValueError, match="pass None for both nets"):
+            compose(*nets, agent_only_cfg())
 
 
 def test_compose_trace_fields():
@@ -92,6 +97,22 @@ def test_config_caps_the_length():
         with pytest.raises(ValueError, match=f"length must be at most "
                                              f"{MAX_LENGTH}, got {length}"):
             CompositionConfig(length=length)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("length", 8.5), ("length", 8.0), ("length", "8"), ("seed", 1.5),
+    ("seed", None)])
+def test_config_refuses_a_length_or_seed_that_is_not_an_integer(field,
+                                                                 value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, "
+                                         f"got {value!r}"):
+        CompositionConfig(**{field: value},
+                          weights=UtilityWeights(mode="coin_toss"))
+
+
+def test_config_takes_numpy_integers():
+    cfg = CompositionConfig(length=np.int64(8), seed=np.uint8(3))
+    assert (cfg.length, cfg.seed) == (8, 3)
 
 
 @pytest.mark.parametrize("start", ["re8", "re8 la8 re8"])
@@ -167,19 +188,17 @@ def test_compose_completes_or_reports_dead_end():
         assert 0 < result.dead_end_step <= 8
 
 
-def test_draw_step_weight_contract():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="coin_toss"):
-        draw_step_weight(rng, UtilityWeights())
+def coin_weights(seed, length=20):
+    cfg = agent_only_cfg(length=length, seed=seed, start_pair=None,
+                         weights=UtilityWeights(mode="coin_toss"))
+    return [s.weight for s in compose(None, None, cfg).trace]
 
 
-def test_draw_step_weight_fair_and_reproducible():
-    weights = UtilityWeights(mode="coin_toss")
-    draws = [draw_step_weight(np.random.default_rng(123), weights)
-             for _ in range(3)]
+def test_coin_toss_weights_fair_and_reproducible():
+    draws = [coin_weights(123, length=2)[0] for _ in range(3)]
     assert len(set(draws)) == 1  # same seed, same first draw
-    rng = np.random.default_rng(7)
-    sample = [draw_step_weight(rng, weights) for _ in range(10_000)]
+    sample = [w for seed in range(7, 7 + 500) for w in coin_weights(seed)]
+    assert len(sample) > 9_000
     assert set(sample) <= set(COIN_VALUES)
     freq = sample.count(1.49) / len(sample)
     assert 0.47 <= freq <= 0.53

@@ -546,16 +546,22 @@ def test_cli_compose_needs_both_nets(with_net_a, tmp_path, capsys):
 
 @pytest.mark.parametrize("plans", [["--plan1", "1 2"], ["--plan2", "0,1,0,1"],
                                    ["--plan1", "0.8,0,0.8,0",
-                                    "--plan2", "0,1,0,1"]])
+                                    "--plan2", "0,1,0,1"],
+                                   ["--netA", "/nonexistent.ckpt"],
+                                   ["--netB", "/also/missing"],
+                                   ["--netA", "/nonexistent.ckpt",
+                                    "--netB", "/also/missing"],
+                                   ["--netA", "", "--plan2", "0,1,0,1"]])
 def test_cli_compose_agent_only_refuses_plans(plans, tmp_path, capsys):
-    # agent-only runs no net, so a plan given there would be ignored
+    # agent-only runs no net, so a net or a plan given there would be
+    # ignored; it is refused before any net is read
     trace = tmp_path / "trace.csv"
     code = main(["compose", "--agent-only", *plans, "--trace", str(trace)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == ("bicinium compose: --plan1 and --plan2 set the "
-                            "nets' plans and cannot be used with "
-                            "--agent-only\n")
+    assert captured.err == ("bicinium compose: --netA, --netB, --plan1 and "
+                            "--plan2 set the nets and their plans and cannot "
+                            "be used with --agent-only\n")
     assert captured.out == ""
     assert not trace.exists()
 

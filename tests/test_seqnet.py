@@ -215,6 +215,19 @@ def test_train_empty_corpus_raises():
         train(SequentialNet.new(seed=0), [], epochs=1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_train_refuses_a_non_finite_plan_label(p, bad):
+    # such a label would train every weight to NaN, and load_net refuses
+    # the checkpoint save_net would then write
+    net = SequentialNet.new(seed=0)
+    before = [a.copy() for a in (net.w1, net.b1, net.w2, net.b2)]
+    corpus = [((bad, 0, 0, 0), ((p("re8"), p("la8")),))]
+    with pytest.raises(ValueError, match="plan label holds a non-finite"):
+        train(net, corpus, epochs=1)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(before, (net.w1, net.b1, net.w2, net.b2)))
+
+
 def test_train_single_one_note_melody(p):
     net = SequentialNet.new(hidden_size=5, voices=1, seed=0)
     corpus = [((1.0, 0, 0, 0), ((p("re"),),))]
