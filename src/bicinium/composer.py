@@ -13,7 +13,6 @@ its net state.  Dead ends stop the run; there is no backtracking.
 
 from __future__ import annotations
 
-import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -27,8 +26,8 @@ from .negotiation import (
     system_utility,
 )
 from .rules import DuetState, check_pair, legal_bits
-from .seqnet import (MAX_LENGTH, SequentialNet, _feedback_code, forward,
-                     map_to_gamut, step_state)
+from .seqnet import (MAX_LENGTH, SequentialNet, _check_count, _feedback_code,
+                     forward, map_to_gamut, step_state)
 
 __all__ = ["CompositionConfig", "StepTrace", "CompositionResult", "compose"]
 
@@ -47,18 +46,8 @@ class CompositionConfig:
     agent_only: bool = False
 
     def __post_init__(self):
-        for name in ("length", "seed"):
-            value = getattr(self, name)
-            # int first: it passes without the ABC's slower Python-level check
-            if not isinstance(value, (int, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.length < 2:
-            raise ValueError("length must be at least 2")
-        if self.length > MAX_LENGTH:
-            raise ValueError(f"length must be at most {MAX_LENGTH}, "
-                             f"got {self.length}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_count("length", self.length, 2, MAX_LENGTH)
+        _check_count("seed", self.seed, 0)
         if self.start_pair is not None and len(self.start_pair) != 2:
             raise ValueError("start needs one pitch per voice (2)")
 

@@ -45,6 +45,7 @@ from .gamut import (
     motion,
     signed_interval,
 )
+from .seqnet import _check_count
 
 __all__ = ["DuetState", "RuleVerdict", "check_pair", "legal_bits",
            "legal_pairs", "pair_bit", "validate_duet", "DuetReport"]
@@ -89,6 +90,7 @@ class DuetState:
         default=None, init=False, repr=False)
 
     def __post_init__(self):
+        _check_count("length", self.length, 0)
         # The opening's key; a duet of no bars is complete at once.
         last = self.length == 1
         key = (-1, 0, 0, 0, last, self.finalis and last)

@@ -15,6 +15,7 @@ agents and the command line can import this module without loading numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -47,6 +48,19 @@ MAX_LENGTH = 1000
 # 1,500 epochs).
 MAX_HIDDEN = 1000
 MAX_EPOCHS = 100_000
+
+
+def _check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse a count that is not an integer (numpy's pass) in [low, high]."""
+    # int first: it passes without the ABC's slower Python-level check
+    if not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+
 _PITCH_UNITS = 8
 _ASCEND, _DESCEND = 17, 18
 
@@ -135,8 +149,7 @@ class SequentialNet:
             decay: float = 0.7, seed: int = 0) -> "SequentialNet":
         import numpy as np
         _check_limits(plan_size, hidden_size, voices, decay)
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        _check_count("seed", seed, 0)
         rng = np.random.default_rng(seed)
         out = voices * NOTE_CODE_SIZE
         def init(*shape):
@@ -153,15 +166,9 @@ class SequentialNet:
 def _check_limits(plan_size: int, hidden_size: int, voices: int,
                   decay: float) -> None:
     """The limits of a net, whether built by ``new`` or read from a file."""
-    if plan_size < 1:
-        raise ValueError(f"plan_size must be at least 1, got {plan_size}")
-    if hidden_size < 1:
-        raise ValueError(f"hidden_size must be at least 1, got {hidden_size}")
-    if hidden_size > MAX_HIDDEN:
-        raise ValueError(f"hidden_size must be at most {MAX_HIDDEN}, "
-                         f"got {hidden_size}")
-    if voices < 1:
-        raise ValueError(f"voices must be at least 1, got {voices}")
+    _check_count("plan_size", plan_size, 1)
+    _check_count("hidden_size", hidden_size, 1, MAX_HIDDEN)
+    _check_count("voices", voices, 1)
     if not 0 <= decay < 1:
         raise ValueError(f"decay must be in [0, 1), got {decay}")
 
@@ -267,10 +274,7 @@ def train(net: SequentialNet, corpus, epochs: int = 500,
     rate, subtracted), so the result is the same to the bit.
     """
     import numpy as np
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if epochs > MAX_EPOCHS:
-        raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs}")
+    _check_count("epochs", epochs, 1, MAX_EPOCHS)
     if not 0 <= learning_rate < np.inf:
         raise ValueError("learning rate must be finite and non-negative, "
                          f"got {learning_rate}")
@@ -346,10 +350,7 @@ def generate(net: SequentialNet, plan, length: int,
     pitches for a multi-voice net).
     """
     import numpy as np
-    if length < 1:
-        raise ValueError(f"length must be at least 1, got {length}")
-    if length > MAX_LENGTH:
-        raise ValueError(f"length must be at most {MAX_LENGTH}, got {length}")
+    _check_count("length", length, 1, MAX_LENGTH)
     plan = np.asarray(plan, dtype=float)
     if not np.isfinite(plan).all():
         raise ValueError("plan holds a non-finite value")
