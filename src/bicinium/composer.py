@@ -13,6 +13,7 @@ its net state.  Dead ends stop the run; there is no backtracking.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -48,7 +49,15 @@ class CompositionConfig:
     def __post_init__(self):
         _check_count("length", self.length, 2, MAX_LENGTH)
         _check_count("seed", self.seed, 0)
-        if self.start_pair is not None and len(self.start_pair) != 2:
+        for name in ("plan1", "plan2"):
+            try:  # a value that is not a real number raises TypeError
+                finite = all(map(math.isfinite, getattr(self, name)))
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} holds a non-finite value")
+        start = self.start_pair
+        if start is not None and list(map(type, start)) != [Pitch, Pitch]:
             raise ValueError("start needs one pitch per voice (2)")
 
 
@@ -90,8 +99,7 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
     back the encoded note of every agreement.  Output is fully determined
     by (nets, cfg): the only randomness is the seeded coin toss.  A start
     pair that breaks a rule at the opening, a net that is not a one-voice
-    net, or a plan whose length is not its net's plan size or that holds
-    a NaN or infinite value, raises ValueError.
+    net, or a plan whose length is not its net's plan size, raises ValueError.
     """
     agents = []
     quiet = nullcontext()
@@ -111,10 +119,8 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
             if len(plan) != net.plan_size:
                 raise ValueError(f"plan{i} has {len(plan)} values, but net{i} "
                                  f"takes a plan of {net.plan_size}")
-            plan = np.asarray(plan, dtype=float)
-            if not np.isfinite(plan).all():
-                raise ValueError(f"plan{i} holds a non-finite value")
-            agents.append([net, plan, net.fresh_state()])
+            agents.append([net, np.asarray(plan, dtype=float),
+                           net.fresh_state()])
     # Only the coin toss draws from the generator, so a fixed weight skips
     # building one, and with it the import of numpy.
     coin_toss = cfg.weights.mode == "coin_toss"

@@ -74,12 +74,12 @@ class RuleVerdict:
 class DuetState:
     """Composition-so-far plus the rule key the next position reads.
 
-    The constructor takes only ``length`` and, by keyword, ``finalis``,
-    and starts an empty duet.  The history and the key derived from it
-    grow only through ``append`` (or ``from_history``), so they cannot
-    disagree.  ``_key`` is (the previous pair's bit or -1, the imperfect
-    family of the current run or 0, that run's length capped at
-    MAX_IMPERFECT_RUN, the interior perfects capped at
+    The constructor takes only ``length``, a non-negative integer, and, by
+    keyword, ``finalis``, and starts an empty duet.  The history and the
+    key derived from it grow only through ``append`` (or ``from_history``),
+    so they cannot disagree.  ``_key`` is (the previous pair's bit or -1,
+    the imperfect family of the current run or 0, that run's length capped
+    at MAX_IMPERFECT_RUN, the interior perfects capped at
     MAX_INTERIOR_PERFECT, last, finalis due), or None once complete.
     """
 

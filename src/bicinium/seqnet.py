@@ -48,6 +48,8 @@ MAX_LENGTH = 1000
 # 1,500 epochs).
 MAX_HIDDEN = 1000
 MAX_EPOCHS = 100_000
+_PITCH_UNITS = 8
+_ASCEND, _DESCEND = 17, 18
 
 
 def _check_count(name: str, value, low: int, high: int | None = None) -> None:
@@ -60,9 +62,6 @@ def _check_count(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be at most {high}, got {value}")
-
-_PITCH_UNITS = 8
-_ASCEND, _DESCEND = 17, 18
 
 
 def _degree_unit(p: Pitch) -> int:
@@ -356,7 +355,7 @@ def generate(net: SequentialNet, plan, length: int,
         raise ValueError("plan holds a non-finite value")
     if start is not None and not isinstance(start, tuple):
         start = (start,)
-    if start is not None and len(start) != net.voices:
+    if start is not None and list(map(type, start)) != [Pitch] * net.voices:
         raise ValueError(f"start needs one pitch per voice ({net.voices})")
     state = net.fresh_state()
     prev: list[Pitch | None] = [None] * net.voices

@@ -121,6 +121,24 @@ def test_config_start_pair_needs_two_pitches(start):
         CompositionConfig(start_pair=pitches(start))
 
 
+@pytest.mark.parametrize("agent_only", [False, True])
+@pytest.mark.parametrize("field, plan", [
+    ("plan1", (float("nan"),)), ("plan1", ("a",)), ("plan1", None),
+    ("plan1", 0.5), ("plan2", (0.0, float("inf"), 0.0, 0.0)),
+    ("plan2", (0.0, 1j, 0.0, 0.0))])
+def test_config_refuses_a_plan_that_is_not_finite_reals(agent_only, field,
+                                                        plan):
+    # agent-only mode reads no plan, but refuses a bad one all the same
+    with pytest.raises(ValueError, match=f"^{field} holds a non-finite value"):
+        CompositionConfig(agent_only=agent_only, **{field: plan})
+
+
+@pytest.mark.parametrize("start", [("re8", "re8"), "re", (None, None)])
+def test_config_start_pair_needs_pitches(start):
+    with pytest.raises(ValueError, match=r"one pitch per voice \(2\)"):
+        agent_only_cfg(start_pair=start)
+
+
 def test_every_complete_result_validates_whatever_the_start():
     # each start pair is either rejected at the boundary or opens a run
     # whose complete results pass validate_duet, at every length

@@ -3,10 +3,13 @@ import pytest
 
 from bicinium.gamut import GAMUT, Motion, motion, signed_interval
 from bicinium.negotiation import (
+    _NO_OFFER,
     COIN_VALUES,
     Agreement,
     DeadEnd,
     UtilityWeights,
+    _choose,
+    _unoffered_choice,
     contrary_motion_bonus,
     negotiate,
     system_utility,
@@ -226,3 +229,16 @@ def test_scaling_invariance():
             assert type(scaled) is type(base)
             if isinstance(base, Agreement):
                 assert scaled.pair == base.pair
+
+
+def test_agent_only_choice_cache_is_bounded():
+    # a sweep of more weights than the cache holds evicts the first ones;
+    # every choice, fresh or recomputed after eviction, is _choose's
+    bound = _unoffered_choice.cache_info().maxsize
+    state = DuetState(length=8).append(pairs("re8", "re8")[0])
+    weights = [1.0 + n / 64 for n in range(bound + 500)]
+    for w in weights + weights[:100]:
+        assert negotiate(state, _NO_OFFER, _NO_OFFER, w) == \
+            _choose(state._key, _NO_OFFER, _NO_OFFER, w)
+        assert _unoffered_choice.cache_info().currsize <= bound
+    assert _unoffered_choice.cache_info().currsize == bound

@@ -254,10 +254,11 @@ def test_generate_deterministic():
 
 def test_generate_start_needs_one_pitch_per_voice(p):
     # a tuple start is taken as one pitch per voice, so extra pitches are
-    # refused too, not only missing ones
+    # refused too, not only missing ones, and so is anything not a pitch
     net = SequentialNet.new(seed=4)
-    with pytest.raises(ValueError, match="one pitch per voice"):
-        generate(net, (1, 0, 0, 0), 4, start=(p("re8"), p("la8")))
+    for start in ((p("re8"), p("la8")), "re8", ("re8",), [p("re8")]):
+        with pytest.raises(ValueError, match=r"one pitch per voice \(1\)"):
+            generate(net, (1, 0, 0, 0), 4, start=start)
     assert generate(net, (1, 0, 0, 0), 4, start=(p("re8"),))[0][0] == p("re8")
 
 
