@@ -17,7 +17,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .gamut import NotePair, Pitch, pitch_from_name
+from .gamut import NotePair, Pitch, _check_count, pitch_from_name
 from .negotiation import (
     _NO_OFFER,
     COIN_VALUES,
@@ -27,8 +27,8 @@ from .negotiation import (
     system_utility,
 )
 from .rules import DuetState, check_pair, legal_bits
-from .seqnet import (MAX_LENGTH, SequentialNet, _check_count, _feedback_code,
-                     forward, map_to_gamut, step_state)
+from .seqnet import (MAX_LENGTH, SequentialNet, _feedback_code, forward,
+                     map_to_gamut, step_state)
 
 __all__ = ["CompositionConfig", "StepTrace", "CompositionResult", "compose"]
 

@@ -7,6 +7,7 @@ solfege with an ``8`` suffix for the upper octave.  Everything downstream
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,3 +127,15 @@ def motion(prev: NotePair, cur: NotePair) -> Motion:
     if d1 * d2 > 0:
         return Motion.SIMILAR
     return Motion.CONTRARY
+
+
+def _check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse a count that is not an integer (numpy's pass) in [low, high]."""
+    # int first: it passes without the ABC's slower Python-level check
+    if not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")

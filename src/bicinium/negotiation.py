@@ -80,18 +80,14 @@ def contrary_motion_bonus(prev: NotePair, cur: NotePair) -> float:
 def _as_activations(act) -> list[float] | tuple[float, ...]:
     if act is _NO_OFFER:
         return act
-    # Fast path: a list of floats whose sum is finite (so no NaN or
-    # infinity) and whose minimum is non-negative passes as it is.
-    if (type(act) is list and len(act) == 13
-            and set(map(type, act)) == {float}
-            and 0.0 <= min(act) and sum(act) < math.inf):
-        return act
-    import numpy as np
-    act = np.asarray(act, dtype=float)
-    if act.shape != (13,):
-        raise ValueError(f"activation vector must have shape (13,), got {act.shape}")
-    values = act.tolist()
-    if not all(0.0 <= v < math.inf for v in values):
+    try:
+        values = list(map(float, act.tolist() if hasattr(act, "tolist")
+                          else act))
+    except (TypeError, ValueError):
+        values = ()
+    if len(values) != 13:
+        raise ValueError("activation vector must have shape (13,)")
+    if False in map(math.isfinite, values) or min(values) < 0.0:
         raise ValueError("activations must be finite and non-negative")
     return values
 
@@ -148,7 +144,7 @@ def negotiate(state: DuetState, act1, act2,
 def _choose(key: tuple, act1, act2, cm_weight) -> Agreement | None:
     """The maximal candidate at rule key ``key``, or None if none is legal."""
     best = -1
-    best_utility = -1.0
+    best_utility = -math.inf
     for k, i, j, bonus in _candidates(key):
         score = act1[i] * act2[j] + cm_weight * bonus
         if score > best_utility:

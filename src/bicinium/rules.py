@@ -40,12 +40,12 @@ from .gamut import (
     IntervalQuality,
     Motion,
     NotePair,
+    _check_count,
     interval_quality,
     interval_steps,
     motion,
     signed_interval,
 )
-from .seqnet import _check_count
 
 __all__ = ["DuetState", "RuleVerdict", "check_pair", "legal_bits",
            "legal_pairs", "pair_bit", "validate_duet", "DuetReport"]

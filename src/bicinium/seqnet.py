@@ -15,12 +15,11 @@ agents and the command line can import this module without loading numpy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
-from .gamut import GAMUT, Pitch, interval_steps
+from .gamut import GAMUT, Pitch, _check_count, interval_steps
 
 __all__ = [
     "NOTE_CODE_SIZE",
@@ -50,18 +49,6 @@ MAX_HIDDEN = 1000
 MAX_EPOCHS = 100_000
 _PITCH_UNITS = 8
 _ASCEND, _DESCEND = 17, 18
-
-
-def _check_count(name: str, value, low: int, high: int | None = None) -> None:
-    """Refuse a count that is not an integer (numpy's pass) in [low, high]."""
-    # int first: it passes without the ABC's slower Python-level check
-    if not isinstance(value, (int, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        bound = "non-negative" if low == 0 else f"at least {low}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-    if high is not None and value > high:
-        raise ValueError(f"{name} must be at most {high}, got {value}")
 
 
 def _degree_unit(p: Pitch) -> int:

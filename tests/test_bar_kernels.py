@@ -133,7 +133,9 @@ def test_map_to_gamut_list_passes_negotiation_as_it_is(prev):
     for block in (np.full(NOTE_CODE_SIZE, 0.5), np.zeros(NOTE_CODE_SIZE),
                   np.linspace(0.1, 1, NOTE_CODE_SIZE)):
         acts = map_to_gamut(block, prev)
-        assert negotiation._as_activations(acts) is acts
+        values = negotiation._as_activations(acts)
+        assert values == acts
+        assert type(values) is list and set(map(type, values)) == {float}
 
 
 @pytest.mark.parametrize("prev", GAMUT + (None,))
