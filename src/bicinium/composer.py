@@ -56,8 +56,11 @@ class CompositionConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"{name} holds a non-finite value")
+        if not isinstance(self.weights, UtilityWeights):
+            raise ValueError(f"weights {self.weights!r} is not UtilityWeights")
         start = self.start_pair
-        if start is not None and list(map(type, start)) != [Pitch, Pitch]:
+        if start is not None and not (isinstance(start, (tuple, list)) and
+                                      list(map(type, start)) == [Pitch, Pitch]):
             raise ValueError("start needs one pitch per voice (2)")
 
 

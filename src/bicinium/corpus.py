@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gamut import Pitch, pitch_from_name
+from .gamut import Pitch, _check_voices, pitch_from_name
 
 __all__ = ["Corpus", "load_corpus", "parse_corpus", "render_text",
            "parse_duet_text"]
@@ -133,8 +133,7 @@ def load_corpus(path) -> Corpus:
 
 def render_text(voice1, voice2) -> str:
     """Two-line duet notation, V1 above V2, solfege tokens."""
-    if len(voice1) != len(voice2):
-        raise ValueError("voices differ in length")
+    _check_voices(voice1, voice2)
     return (f"V1: {' '.join(p.name for p in voice1)}\n"
             f"V2: {' '.join(p.name for p in voice2)}\n")
 

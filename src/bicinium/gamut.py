@@ -1,4 +1,4 @@
-"""The 13-note Dorian gamut and interval arithmetic.
+"""The 13-note Dorian gamut, interval arithmetic and shared input checks.
 
 Pitches run from re (D) up to si8 (B an octave and a half above), named in
 solfege with an ``8`` suffix for the upper octave.  Everything downstream
@@ -139,3 +139,12 @@ def _check_count(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be at most {high}, got {value}")
+
+
+def _check_voices(voice1, voice2) -> None:
+    """Refuse two voices of different lengths or holding a non-pitch."""
+    if len(voice1) != len(voice2):
+        raise ValueError(
+            f"voices differ in length: {len(voice1)} vs {len(voice2)}")
+    if not {*map(type, voice1), *map(type, voice2)} <= {Pitch}:
+        raise ValueError("voices must hold only gamut pitches")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
+from .gamut import _check_voices
+
 __all__ = ["duet_to_midi_bytes", "write_midi"]
 
 TICKS_PER_QUARTER = 480
@@ -47,8 +49,7 @@ def _voice_events(voice, tempo_us: int | None) -> bytes:
 
 
 def duet_to_midi_bytes(voice1, voice2) -> bytes:
-    if len(voice1) != len(voice2):
-        raise ValueError("voices differ in length")
+    _check_voices(voice1, voice2)
     header = b"MThd" + struct.pack(">IHHH", 6, 1, 2, TICKS_PER_QUARTER)
     return (header
             + _track(_voice_events(voice1, _TEMPO_US))

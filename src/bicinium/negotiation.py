@@ -85,11 +85,16 @@ def _as_activations(act) -> list[float] | tuple[float, ...]:
                           else act))
     except (TypeError, ValueError):
         values = ()
-    if len(values) != 13:
+    if len(values) != 13 or isinstance(act, str):  # not a digit per note
         raise ValueError("activation vector must have shape (13,)")
-    if False in map(math.isfinite, values) or min(values) < 0.0:
+    if not all(map(math.isfinite, values)) or min(values) < 0.0:
         raise ValueError("activations must be finite and non-negative")
     return values
+
+
+def _check_weight(w) -> None:
+    if not (isinstance(w, (float, numbers.Real)) and math.isfinite(w)):
+        raise ValueError(f"cm_weight must be finite, got {w!r}")
 
 
 @cache
@@ -108,8 +113,7 @@ def _candidates(key: tuple) -> tuple[tuple[int, int, int, float], ...]:
 def system_utility(state: DuetState, pair: NotePair, act1, act2,
                    cm_weight: float = 1.0) -> float:
     """Joint utility of a candidate pair; exactly 0 for illegal pairs."""
-    if not -math.inf < cm_weight < math.inf:
-        raise ValueError(f"cm_weight must be finite, got {cm_weight}")
+    _check_weight(cm_weight)
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
     k = pair_bit(pair)
@@ -128,8 +132,7 @@ def negotiate(state: DuetState, act1, act2,
     strict improvement, so the first pair reaching the maximal utility
     wins ties.
     """
-    if not -math.inf < cm_weight < math.inf:
-        raise ValueError(f"cm_weight must be finite, got {cm_weight}")
+    _check_weight(cm_weight)
     act1 = _as_activations(act1)
     act2 = _as_activations(act2)
     if act1 is _NO_OFFER is act2:

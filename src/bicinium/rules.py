@@ -41,6 +41,7 @@ from .gamut import (
     Motion,
     NotePair,
     _check_count,
+    _check_voices,
     interval_quality,
     interval_steps,
     motion,
@@ -265,9 +266,7 @@ class DuetReport:
 
 def validate_duet(voice1, voice2, finalis: bool = True) -> DuetReport:
     """Replay a finished duet through check_pair, position by position."""
-    if len(voice1) != len(voice2):
-        raise ValueError(
-            f"voices differ in length: {len(voice1)} vs {len(voice2)}")
+    _check_voices(voice1, voice2)
     length = len(voice1)
     if not length:
         raise ValueError("empty duet: the voices hold no notes")

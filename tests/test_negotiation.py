@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bicinium.gamut import GAMUT, Motion, motion, signed_interval
 from bicinium.negotiation import (
@@ -14,7 +16,7 @@ from bicinium.negotiation import (
     negotiate,
     system_utility,
 )
-from bicinium.rules import DuetState, check_pair
+from bicinium.rules import DuetState, check_pair, legal_pairs
 
 from conftest import pairs
 
@@ -242,3 +244,28 @@ def test_agent_only_choice_cache_is_bounded():
             _choose(state._key, _NO_OFFER, _NO_OFFER, w)
         assert _unoffered_choice.cache_info().currsize <= bound
     assert _unoffered_choice.cache_info().currsize == bound
+
+
+finite_weights = st.one_of(st.sampled_from([-2.0, -0.0, 0.0, 0, 1.49]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+offers = st.one_of(st.just(_NO_OFFER),
+                   st.lists(st.floats(0, 1), min_size=13, max_size=13))
+
+
+@given(length=st.integers(1, 12), finalis=st.booleans(), w=finite_weights,
+       act1=offers, act2=offers, data=st.data())
+def test_dead_end_exactly_when_no_pair_is_legal(length, finalis, w, act1,
+                                                act2, data):
+    # along a random walk, for every finite weight: a negative one must not
+    # lose the legal pairs to a floor on the best score
+    state = DuetState(length, finalis=finalis)
+    while not state.complete:
+        legal = legal_pairs(state)
+        got = negotiate(state, act1, act2, w)
+        assert isinstance(got, DeadEnd) == (not legal)
+        if not legal:
+            break
+        assert got.pair in legal
+        if act1 is _NO_OFFER is act2:
+            assert got == _choose(state._key, act1, act2, w)
+        state = state.append(data.draw(st.sampled_from(legal)))

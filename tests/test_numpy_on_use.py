@@ -2,10 +2,13 @@
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=src`` and reports
 whether ``numpy`` ended up in ``sys.modules``.  The symbolic half (rules,
-agents, validation, agent-only deterministic compose) must not load it.
-``floor_check.py`` runs the same half with a pinned digest.
+agents with offers of any kind, validation, agent-only deterministic
+compose) must not load it.  ``floor_check.py`` runs the same half with a
+pinned digest, and a static check keeps the rules and negotiation modules
+clear of the net module and of numpy.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,11 +28,28 @@ def cli(*argv):
     return f"from bicinium.cli import main\nassert main({list(argv)!r}) == 0"
 
 
+def offer(expr):
+    """Negotiate and score with the offer ``expr`` at the second bar, and
+    check both results equal those for the same values as Python floats."""
+    return f"""
+from bicinium.negotiation import negotiate, system_utility
+from bicinium.rules import DuetState
+offer = {expr}
+floats = [float(v) for v in offer]
+state = DuetState(8).append(negotiate(DuetState(8), offer, offer).pair)
+got, want = (negotiate(state, a, a, -2.0) for a in (offer, floats))
+assert got == want
+assert (system_utility(state, got.pair, offer, offer, -2.0)
+        == system_utility(state, got.pair, floats, floats, -2.0))"""
+
+
 SYMBOLIC = {
     "import bicinium": "import bicinium",
     "import bicinium.cli": "import bicinium.cli",
     "validate": cli("validate", "--duet", "duet.txt"),
     "compose det": cli("compose", "--agent-only", "--mode", "det"),
+    "negotiate tuple offer": offer("tuple(i / 12 for i in range(13))"),
+    "negotiate int-list offer": offer("list(range(13))"),
 }
 NUMERIC = {
     "compose coin": cli("compose", "--agent-only", "--mode", "coin"),
@@ -74,3 +94,15 @@ def test_nets_training_and_coin_toss_load_numpy(case, workdir):
 def test_floor_check_passes(tmp_path):
     proc = run_python([str(TESTS / "floor_check.py")], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_rules_import_only_the_gamut_and_negotiation_never_names_numpy():
+    imported = set()  # every module rules.py imports, relative ones dotted
+    rules = (SRC / "bicinium" / "rules.py").read_text()
+    for node in ast.walk(ast.parse(rules)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + node.module)
+    assert imported == {"__future__", "dataclasses", "functools", ".gamut"}
+    assert "numpy" not in (SRC / "bicinium" / "negotiation.py").read_text()
