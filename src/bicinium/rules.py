@@ -78,10 +78,7 @@ class DuetState:
     The constructor takes only ``length``, a non-negative integer, and, by
     keyword, ``finalis``, and starts an empty duet.  The history and the
     key derived from it grow only through ``append`` (or ``from_history``),
-    so they cannot disagree.  ``_key`` is (the previous pair's bit or -1,
-    the imperfect family of the current run or 0, that run's length capped
-    at MAX_IMPERFECT_RUN, the interior perfects capped at
-    MAX_INTERIOR_PERFECT, last, finalis due), or None once complete.
+    so they cannot disagree.  ``_key`` is the key ``_next_key`` writes.
     """
 
     length: int
@@ -93,9 +90,8 @@ class DuetState:
     def __post_init__(self):
         _check_count("length", self.length, 0)
         # The opening's key; a duet of no bars is complete at once.
-        last = self.length == 1
-        key = (-1, 0, 0, 0, last, self.finalis and last)
-        object.__setattr__(self, "_key", key if self.length > 0 else None)
+        object.__setattr__(self, "_key", _next_key(
+            (-1, 0, 0, 0), -1, self.length, self.finalis))
 
     @property
     def position(self) -> int:
@@ -109,25 +105,14 @@ class DuetState:
     def append(self, pair: NotePair) -> "DuetState":
         if self._key is None:
             raise ValueError("duet already complete")
-        prev_bit, prev_fam, run, interior, last, _ = self._key
-        k = pair_bit(pair)
-        fam = 3 if _FAMILY[3] >> k & 1 else 6 if _FAMILY[6] >> k & 1 else 0
-        if fam != prev_fam:
-            run = 1 if fam else 0
-        elif fam and run < MAX_IMPERFECT_RUN:
-            run += 1
-        if (_PERFECT >> k & 1 and prev_bit >= 0 and not last
-                and interior < MAX_INTERIOR_PERFECT):
-            interior += 1
-        t = len(self.history) + 1
-        last = t == self.length - 1
         # The constructor sets only length and finalis: fill every field.
         nxt, put = object.__new__(DuetState), object.__setattr__
         put(nxt, "length", self.length)
         put(nxt, "history", self.history + (pair,))
         put(nxt, "finalis", self.finalis)
-        put(nxt, "_key", (k, fam, run, interior, last, self.finalis and last)
-            if t < self.length else None)
+        put(nxt, "_key", _next_key(self._key, pair_bit(pair),
+                                   self.length - len(nxt.history),
+                                   self.finalis))
         return nxt
 
     @classmethod
@@ -221,6 +206,26 @@ def _rules_at(key: tuple | None) -> tuple[int, tuple[tuple[int, int], ...]]:
     for _, mask in masks:
         illegal |= mask
     return _ALL & ~illegal, tuple(masks)
+
+
+def _next_key(key: tuple, bit: int, bars_left: int, finalis: bool):
+    """The rule key after the pair of bit ``bit`` is placed at a state
+    keyed ``key`` with ``bars_left`` bars still to place; None at 0, when
+    the duet is complete.  A key is (the previous pair's bit or -1, the
+    imperfect family of the current run or 0, that run's length capped at
+    MAX_IMPERFECT_RUN, the interior perfects capped at MAX_INTERIOR_PERFECT,
+    next bar last, finalis due).  The opening places bit -1 at (-1, 0, 0, 0).
+    """
+    if not bars_left:
+        return None
+    prev_bit, prev_fam, run, interior = key[:4]
+    placed = 1 << bit if bit >= 0 else 0  # no pair before the opening
+    fam = 3 if _FAMILY[3] & placed else 6 if _FAMILY[6] & placed else 0
+    run = fam and (min(run + 1, MAX_IMPERFECT_RUN) if fam == prev_fam else 1)
+    if _PERFECT & placed and prev_bit >= 0 and interior < MAX_INTERIOR_PERFECT:
+        interior += 1
+    last = bars_left == 1
+    return bit, fam, run, interior, last, finalis and last
 
 
 def legal_bits(state: DuetState) -> int:
