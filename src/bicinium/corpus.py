@@ -148,6 +148,5 @@ def parse_duet_text(text: str):
     # Tuples from lists, not generators: see CompositionResult.voices.
     v1 = tuple([pitch_from_name(t) for t in lines[0][3:].split()])
     v2 = tuple([pitch_from_name(t) for t in lines[1][3:].split()])
-    if len(v1) != len(v2):
-        raise ValueError(f"voices differ in length: {len(v1)} vs {len(v2)}")
+    _check_voices(v1, v2)
     return v1, v2

@@ -7,6 +7,7 @@ solfege with an ``8`` suffix for the upper octave.  Everything downstream
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -141,10 +142,19 @@ def _check_count(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be at most {high}, got {value}")
 
 
+def _check_offer(values) -> None:
+    """Refuse activations that are not all finite and non-negative."""
+    if not all(map(math.isfinite, values)) or min(values) < 0.0:
+        raise ValueError("activations must be finite and non-negative")
+
+
 def _check_voices(voice1, voice2) -> None:
-    """Refuse two voices of different lengths or holding a non-pitch."""
-    if len(voice1) != len(voice2):
-        raise ValueError(
-            f"voices differ in length: {len(voice1)} vs {len(voice2)}")
+    """Refuse voices that are not equal-length sequences of pitches."""
+    try:
+        n1, n2 = len(voice1), len(voice2)
+    except TypeError:
+        raise ValueError("voices must be sequences of pitches") from None
+    if n1 != n2:
+        raise ValueError(f"voices differ in length: {n1} vs {n2}")
     if not {*map(type, voice1), *map(type, voice2)} <= {Pitch}:
         raise ValueError("voices must hold only gamut pitches")

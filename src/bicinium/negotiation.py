@@ -23,7 +23,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .gamut import Motion, NotePair, motion, signed_interval
+from .gamut import Motion, NotePair, _check_offer, motion, signed_interval
 from .rules import _PAIRS, DuetState, _rules_at, pair_bit
 
 __all__ = ["UtilityWeights", "Agreement", "DeadEnd", "COIN_VALUES",
@@ -87,8 +87,7 @@ def _as_activations(act) -> list[float] | tuple[float, ...]:
         values = ()
     if len(values) != 13 or isinstance(act, str):  # not a digit per note
         raise ValueError("activation vector must have shape (13,)")
-    if not all(map(math.isfinite, values)) or min(values) < 0.0:
-        raise ValueError("activations must be finite and non-negative")
+    _check_offer(values)
     return values
 
 

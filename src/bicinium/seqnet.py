@@ -14,12 +14,11 @@ agents and the command line can import this module without loading numpy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
-from .gamut import GAMUT, Pitch, _check_count, interval_steps
+from .gamut import GAMUT, Pitch, _check_count, _check_offer, interval_steps
 
 __all__ = [
     "NOTE_CODE_SIZE",
@@ -202,8 +201,7 @@ def map_to_gamut(out: np.ndarray, prev: Pitch | None = None) -> list[float]:
     o = out.tolist() + _UNIT_PAD
     acts = [o[d] * o[i] * o[s]
             for d, i, s in _GAMUT_UNITS[13 if prev is None else prev.index]]
-    if not all(0.0 <= a < math.inf for a in acts):
-        raise ValueError("activations must be finite and non-negative")
+    _check_offer(acts)
     peak = max(acts)
     if peak > 0:
         acts = [a / peak for a in acts]

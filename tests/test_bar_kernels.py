@@ -106,6 +106,9 @@ def test_map_to_gamut_equals_reference(block, prev):
 
 @given(any_floats, previous)
 @example([1e308] * 19, None)  # finite products whose sum overflows
+@example([math.inf] * 19, None)
+@example([-math.inf] * 19, GAMUT[7])
+@example([-0.0] * 19, None)  # negative zeros pass, as in negotiation
 def test_map_to_gamut_scores_finite_products_and_refuses_the_rest(block,
                                                                   prev):
     # negative, huge, infinite and NaN activations: the reference's result
@@ -185,7 +188,7 @@ def test_activations_reject_wrong_shape(size, kind):
 def test_activations_come_back_as_python_floats():
     for act in ([0.0] * 13, np.zeros(13), [0] * 13, np.zeros(13, np.float32),
                 [np.float64(0.25)] * 13, tuple([0.5] * 13),
-                [1e308] * 13):
+                [1e308] * 13, [-0.0] * 13):
         values = negotiation._as_activations(act)
         assert type(values) is list and len(values) == 13
         assert all(type(v) is float for v in values)

@@ -5,7 +5,7 @@ deep inside."""
 import pytest
 
 from bicinium.composer import CompositionConfig
-from bicinium.corpus import render_text
+from bicinium.corpus import parse_duet_text, render_text
 from bicinium.gamut import GAMUT
 from bicinium.midi import duet_to_midi_bytes
 from bicinium.negotiation import negotiate, system_utility
@@ -41,6 +41,17 @@ REFUSALS = {
                             "voices differ in length: 2 vs 1"),
     "midi lengths": (lambda: duet_to_midi_bytes(RE8, RE8[:1]),
                      "voices differ in length: 2 vs 1"),
+    "parse_duet_text lengths": (
+        lambda: parse_duet_text("V1: re8 re8\nV2: re8"),
+        "voices differ in length: 2 vs 1"),
+    "validate_duet ints": (lambda: validate_duet(5, 5),
+                           "voices must be sequences of pitches"),
+    "validate_duet generators": (lambda: validate_duet(iter(RE8), iter(RE8)),
+                                 "voices must be sequences of pitches"),
+    "render_text generators": (lambda: render_text(iter(RE8), iter(RE8)),
+                               "voices must be sequences of pitches"),
+    "midi ints": (lambda: duet_to_midi_bytes(RE8, 5),
+                  "voices must be sequences of pitches"),
 }
 
 
