@@ -62,6 +62,7 @@ class CompositionConfig:
         if start is not None and not (isinstance(start, (tuple, list)) and
                                       list(map(type, start)) == [Pitch, Pitch]):
             raise ValueError("start needs one pitch per voice (2)")
+        object.__setattr__(self, "start_pair", start and tuple(start))
 
 
 @dataclass(frozen=True)

@@ -114,16 +114,30 @@ def _code(note: int, slot: int) -> np.ndarray:
 
 @dataclass
 class SequentialNet:
-    """Three-layer net with plan+state input, logistic hidden and output."""
+    """Three-layer net with plan+state input, logistic hidden and output;
+    ``__post_init__`` checks every net, however built, against ``_shapes``."""
 
     plan_size: int
     hidden_size: int
     voices: int
     decay: float
-    w1: np.ndarray  # (hidden, plan + output)
+    w1: np.ndarray
     b1: np.ndarray
-    w2: np.ndarray  # (output, hidden)
+    w2: np.ndarray
     b2: np.ndarray
+
+    def __post_init__(self):
+        import numpy as np
+        for name, shape in _shapes(self.plan_size, self.hidden_size,
+                                   self.voices, self.decay).items():
+            w = getattr(self, name)
+            if not isinstance(w, np.ndarray) or w.dtype != np.float64:
+                raise ValueError(f"{name} is not a float64 array")
+            if w.shape != shape:
+                raise ValueError(f"{name} has shape {w.shape}, but the sizes "
+                                 f"imply {shape}")
+            if not np.isfinite(w).all():
+                raise ValueError(f"{name} holds a non-finite value")
 
     @property
     def output_size(self) -> int:
@@ -133,29 +147,27 @@ class SequentialNet:
     def new(cls, plan_size: int = 4, hidden_size: int = 15, voices: int = 1,
             decay: float = 0.7, seed: int = 0) -> "SequentialNet":
         import numpy as np
-        _check_limits(plan_size, hidden_size, voices, decay)
+        shapes = _shapes(plan_size, hidden_size, voices, decay)
         _check_count("seed", seed, 0)
         rng = np.random.default_rng(seed)
-        out = voices * NOTE_CODE_SIZE
-        def init(*shape):
-            return rng.uniform(-0.5, 0.5, size=shape)
         return cls(plan_size, hidden_size, voices, decay,
-                   w1=init(hidden_size, plan_size + out), b1=init(hidden_size),
-                   w2=init(out, hidden_size), b2=init(out))
+                   *(rng.uniform(-0.5, 0.5, size=s) for s in shapes.values()))
 
     def fresh_state(self) -> np.ndarray:
         import numpy as np
         return np.zeros(self.output_size)
 
 
-def _check_limits(plan_size: int, hidden_size: int, voices: int,
-                  decay: float) -> None:
-    """The limits of a net, whether built by ``new`` or read from a file."""
+def _shapes(plan_size: int, hidden_size: int, voices: int, decay: float):
+    """Each weight's shape, in ``new``'s draw order, after the limit checks."""
     _check_count("plan_size", plan_size, 1)
     _check_count("hidden_size", hidden_size, 1, MAX_HIDDEN)
     _check_count("voices", voices, 1)
     if not 0 <= decay < 1:
         raise ValueError(f"decay must be in [0, 1), got {decay}")
+    out = voices * NOTE_CODE_SIZE
+    return {"w1": (hidden_size, plan_size + out), "b1": (hidden_size,),
+            "w2": (out, hidden_size), "b2": (out,)}
 
 
 def step_state(net: SequentialNet, state: np.ndarray,
@@ -380,13 +392,9 @@ def save_net(net: SequentialNet, path) -> None:
 
 
 def load_net(path) -> SequentialNet:
-    """Read a checkpoint written by ``save_net``.
-
-    Raises ValueError naming the file when it is not a checkpoint, is cut
-    short, has a header outside the limits ``SequentialNet.new`` keeps, or
-    holds an array whose shape disagrees with its header or that holds a
-    NaN or infinite value.
-    """
+    """Read a checkpoint written by ``save_net``.  A file that is not one,
+    is cut short or malformed, or holds a net ``SequentialNet`` refuses
+    raises ValueError naming the file."""
     import numpy as np
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -396,10 +404,8 @@ def load_net(path) -> SequentialNet:
         raise ValueError(f"{path}: truncated checkpoint, cut inside a line")
     try:
         header = dict(line.split(None, 1) for line in lines[1:5])
-        plan_size = int(header["plan_size"])
-        hidden = int(header["hidden_size"])
-        voices = int(header["voices"])
-        decay = float(header["decay"])
+        fields = [int(header["plan_size"]), int(header["hidden_size"]),
+                  int(header["voices"]), float(header["decay"])]
         arrays = {}
         for i in range(5, len(lines) - 1, 2):
             name, *shape = lines[i].split()
@@ -409,26 +415,15 @@ def load_net(path) -> SequentialNet:
         raise ValueError(f"{path}: truncated or malformed checkpoint "
                          f"({exc!r})") from None
     try:
-        _check_limits(plan_size, hidden, voices, decay)
+        weights = []
+        for name in ("w1", "b1", "w2", "b2"):
+            if name not in arrays:
+                raise ValueError(f"truncated checkpoint, no {name} array")
+            shape, values = arrays[name]
+            if values.size != np.prod(shape) or min(shape, default=0) < 0:
+                raise ValueError(f"{name} holds {values.size} values, but "
+                                 f"its line declares shape {shape}")
+            weights.append(values.reshape(shape))
+        return SequentialNet(*fields, *weights)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    out = voices * NOTE_CODE_SIZE
-    expected = {"w1": (hidden, plan_size + out), "b1": (hidden,),
-                "w2": (out, hidden), "b2": (out,)}
-    for name, shape in expected.items():
-        if name not in arrays:
-            raise ValueError(f"{path}: truncated checkpoint, no {name} array")
-        declared, values = arrays[name]
-        if declared != shape:
-            raise ValueError(f"{path}: {name} has shape {declared}, but the "
-                             f"header implies {shape}")
-        if values.size != np.prod(shape):
-            raise ValueError(f"{path}: {name} holds {values.size} values, "
-                             f"shape {shape} needs {np.prod(shape)}")
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}: {name} holds a non-finite value")
-        arrays[name] = values.reshape(shape)
-    return SequentialNet(plan_size=plan_size, hidden_size=hidden,
-                         voices=voices, decay=decay,
-                         w1=arrays["w1"], b1=arrays["b1"],
-                         w2=arrays["w2"], b2=arrays["b2"])

@@ -3,7 +3,9 @@
 Runs agent-only deterministic compose from every legal opening pair (and
 from a negotiated opening) at every length from 2 to 20, validates,
 renders and MIDI-encodes each result, and parses both bundled corpora.
-All of that is hashed into one sha256.  The script needs nothing but the
+All of that is hashed into one sha256.  Apart from the digest, it asserts
+that negotiation reads tuple and int offers: with a negative weight, a run
+dead-ends only where no pair is legal.  The script needs nothing but the
 standard library and the checkout's ``src/``:
 
     python tests/floor_check.py
@@ -23,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from bicinium import (CompositionConfig, DuetState, compose, legal_pairs,  # noqa: E402
                       parse_corpus, render_text, validate_duet)
 from bicinium.midi import duet_to_midi_bytes  # noqa: E402
+from bicinium.negotiation import DeadEnd, negotiate  # noqa: E402
 
 DIGEST = "3d0f7cb00f020eb35af46d3369acc3d48c474b5afb06005d9fa2ad0c32cb02e2"
 
@@ -54,7 +57,19 @@ def lines():
                 " ".join(p.name for p in voice) for voice in voices)
 
 
+def check_offers() -> None:
+    for offer in ((0.5,) * 13, [1] * 13):
+        state = DuetState(8)
+        while not state.complete:
+            got = negotiate(state, offer, offer, -2.0)
+            assert isinstance(got, DeadEnd) == (not legal_pairs(state)), got
+            if isinstance(got, DeadEnd):
+                break
+            state = state.append(got.pair)
+
+
 def main() -> int:
+    check_offers()
     digest = hashlib.sha256()
     for line in lines():
         digest.update(line.encode() + b"\n")

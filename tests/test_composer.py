@@ -76,6 +76,10 @@ def test_compose_dead_end_is_data(p):
     assert not result.complete
     assert result.dead_end_step == 8
     assert len(result.pairs) == 8
+    # the same opening as a list is stored, and placed, as a tuple
+    listed = agent_only_cfg(length=9, start_pair=[p("re"), p("la")])
+    assert listed == cfg and hash(listed) == hash(cfg)
+    assert compose(None, None, listed) == result
 
 
 def test_compose_rejects_illegal_start_pair(p):

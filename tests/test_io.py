@@ -1,8 +1,8 @@
 import hashlib
 import struct
 import warnings
-from dataclasses import replace
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -471,13 +471,15 @@ def test_cli_generate_refuses_nan_checkpoint(tmp_path, capsys):
 
 
 def _shrunk(net, **sizes):
-    """``net`` with the given header sizes and arrays cut to match them."""
+    """``net``'s fields with the given header sizes and arrays cut to match
+    them.  ``SequentialNet`` refuses such sizes, so this is a namespace,
+    which ``save_net`` writes out as text just as it would a net."""
     plan = sizes.get("plan_size", net.plan_size)
     hidden = sizes.get("hidden_size", net.hidden_size)
     out = sizes.get("voices", net.voices) * 19
-    return replace(net, **sizes, w1=net.w1[:hidden, :plan + out],
-                   b1=net.b1[:hidden], w2=net.w2[:out, :hidden],
-                   b2=net.b2[:out])
+    return SimpleNamespace(**vars(net) | sizes | dict(
+        w1=net.w1[:hidden, :plan + out], b1=net.b1[:hidden],
+        w2=net.w2[:out, :hidden], b2=net.b2[:out]))
 
 
 @pytest.mark.parametrize("sizes,message", [

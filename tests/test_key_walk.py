@@ -24,17 +24,19 @@ OPENING = (-1, 0, 0, 0)  # the core the opening's key is stepped from
 STEPS = ((1, True), (1, False), (2, False))
 
 
-def walk(legal_only: bool) -> dict:
+@cache
+def walk(legal_only: bool) -> tuple[dict, dict]:
     """Every key reachable from an opening, by legal appends only or by any
     of the 169 pairs (as ``validate`` replays), each with the first history
-    found that reaches it: one of the fewest pairs."""
-    witness = {}
+    found that reaches it (one of the fewest pairs) and with the last."""
+    witness, last = {}, {}
     todo = deque()
 
     def reach(key, history):
         if key not in witness:
             witness[key] = history
             todo.append(key)
+        last[key] = history
 
     for bars_left, finalis in STEPS:
         reach(_next_key(OPENING, -1, bars_left, finalis), ())
@@ -49,27 +51,46 @@ def walk(legal_only: bool) -> dict:
                 for bars_left, finalis in STEPS:
                     reach(_next_key(key, bit, bars_left, finalis),
                           history + (pair,))
-    return witness
+    return witness, last
+
+
+def state_at(key, history) -> DuetState:
+    """The state ``history`` leaves, sized so that its key can be ``key``."""
+    next_is_last, finalis_due = key[4], key[5]
+    return DuetState.from_history(len(history) + (1 if next_is_last else 2),
+                                  history, finalis=finalis_due)
 
 
 def test_every_reachable_key_agrees_with_the_scalar_oracle():
-    keys = walk(legal_only=False)
-    legal_keys = walk(legal_only=True)
+    keys = walk(legal_only=False)[0]
+    legal_keys = walk(legal_only=True)[0]
     # each core (bit, family, run, interior) comes with next bar not last,
     # and last with finalis due or not
     assert (len(keys), len(legal_keys)) == (3 * 940, 3 * 650)
     assert legal_keys.keys() <= keys.keys()
     verdicts = 0
     for key, history in keys.items():
-        last, finalis_due = key[4], key[5]
-        state = DuetState.from_history(len(history) + (1 if last else 2),
-                                       history, finalis=finalis_due)
+        state = state_at(key, history)
         assert state._key == key
         for pair in _PAIRS:
             assert check_pair(state, pair).violations == \
                 scalar_violations(state, pair), (history, pair)
             verdicts += 1
     assert verdicts == 476_580
+
+
+def test_the_key_decides_the_oracle_whatever_history_reached_it():
+    # a key is sufficient: two histories that reach it, the first and the
+    # last the walk found, get the same scalar verdict on every candidate
+    first, last = walk(legal_only=False)
+    others = {key: h for key, h in last.items() if h != first[key]}
+    assert len(others) == 2_682
+    for key, history in others.items():
+        state, witness = state_at(key, history), state_at(key, first[key])
+        assert state._key == key
+        for pair in _PAIRS:
+            assert scalar_violations(state, pair) == \
+                scalar_violations(witness, pair), (history, first[key], pair)
 
 
 def count_by_transition(length: int, finalis: bool) -> int:

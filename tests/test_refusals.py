@@ -2,17 +2,28 @@
 a message naming what is wrong, never TypeError or AttributeError from
 deep inside."""
 
+from dataclasses import replace
+
 import pytest
 
 from bicinium.composer import CompositionConfig
-from bicinium.corpus import parse_duet_text, render_text
+from bicinium.corpus import parse_corpus, parse_duet_text, render_text
 from bicinium.gamut import GAMUT
 from bicinium.midi import duet_to_midi_bytes
 from bicinium.negotiation import negotiate, system_utility
 from bicinium.rules import DuetState, validate_duet
+from bicinium.seqnet import SequentialNet, forward, map_to_gamut, train
 
 HALF = [0.5] * 13
 RE8 = (GAMUT[7], GAMUT[7])
+PLAN = (1.0, 0.0, 0.0, 0.0)
+
+
+def nan_weight_net():
+    """The constructor, given a new net's fields with NaN in b2."""
+    net = SequentialNet.new()
+    return SequentialNet(**vars(net) | {"b2": net.b2 * float("nan")})
+
 
 REFUSALS = {
     "start_pair int": (lambda: CompositionConfig(agent_only=True,
@@ -52,6 +63,33 @@ REFUSALS = {
                                "voices must be sequences of pitches"),
     "midi ints": (lambda: duet_to_midi_bytes(RE8, 5),
                   "voices must be sequences of pitches"),
+    "corpus label words": (lambda: parse_corpus("label: a b\nre8\n"),
+                           "line 1: bad label values"),
+    "corpus bare label": (lambda: parse_corpus("label: 1 0\n"),
+                          "line 1: label without melody"),
+    "corpus mixed voices": (
+        lambda: parse_corpus("re8 la\n\nV1: re8\nV2: re8\n"),
+        "line 3: mixed one-voice and two-voice blocks"),
+    "corpus duplicate labels": (
+        lambda: parse_corpus("label: 1 0\nre8\n\nlabel: 1 0\nla\n"),
+        "duplicate melody labels"),
+    "forward state length": (lambda: forward(SequentialNet.new(), PLAN,
+                                             [0.0] * 18),
+                             r"state must have shape \(19,\)"),
+    "map_to_gamut two blocks": (lambda: map_to_gamut([0.5] * 38),
+                                "expected one 19-unit block"),
+    "train label size": (lambda: train(SequentialNet.new(),
+                                       [((1.0, 0.0), (RE8[:1],))], 1),
+                         "plan label size mismatch"),
+    "train voices": (lambda: train(SequentialNet.new(), [(PLAN, (RE8, RE8))],
+                                   1), r"net expects 1 voice\(s\)"),
+    "net replace lying size": (
+        lambda: replace(SequentialNet.new(), hidden_size=16),
+        r"w1 has shape \(15, 23\), but the sizes imply \(16, 23\)"),
+    "net list weight": (
+        lambda: replace(SequentialNet.new(), w1=[[0.5] * 23] * 15),
+        "w1 is not a float64 array"),
+    "net NaN weight": (nan_weight_net, "b2 holds a non-finite value"),
 }
 
 

@@ -1,4 +1,8 @@
+import itertools
+import math
+from dataclasses import replace
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -299,16 +303,25 @@ def test_new_rejects_a_net_without_plan_units():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    net = SequentialNet.new(hidden_size=7, voices=2, decay=0.65, seed=42)
+    # every size up to plan 5, hidden 8 and voices 3, each with its own
+    # seed and a decay from 0 to just under 1: the net reads back to the bit
+    decays = (0.0, 0.3, 0.65, 0.7, math.nextafter(1.0, 0.0))
+    sizes = itertools.product(range(1, 6), range(1, 9), range(1, 4))
+    nets = [SequentialNet.new(hidden_size=7, voices=2, decay=0.65, seed=42)]
+    nets += [SequentialNet.new(plan, hidden, voices, decays[i % 5], seed=i)
+             for i, (plan, hidden, voices) in enumerate(sizes)]
     path = tmp_path / "net.txt"
-    save_net(net, path)
-    loaded = load_net(path)
-    assert loaded.plan_size == net.plan_size
-    assert loaded.hidden_size == net.hidden_size
-    assert loaded.voices == net.voices
-    assert loaded.decay == net.decay
-    for name in ("w1", "b1", "w2", "b2"):
-        assert np.array_equal(getattr(loaded, name), getattr(net, name))
+    for net in nets:
+        save_net(net, path)
+        loaded = load_net(path)
+        assert loaded.plan_size == net.plan_size
+        assert loaded.hidden_size == net.hidden_size
+        assert loaded.voices == net.voices
+        assert loaded.decay.hex() == net.decay.hex()
+        for name in ("w1", "b1", "w2", "b2"):
+            got, want = getattr(loaded, name), getattr(net, name)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -341,4 +354,45 @@ def test_load_rejects_shape_disagreeing_with_header(tmp_path):
         load_net(path)
     path.write_text(text.replace("b2 19", "b2 19 1"))
     with pytest.raises(ValueError, match=r"net.txt: b2 has shape \(19, 1\)"):
+        load_net(path)
+    # a -1 dimension is read as written, not inferred from the values
+    path.write_text(text.replace("w1 5 23", "w1 -1 23"))
+    with pytest.raises(ValueError, match=r"net.txt: w1 holds 115 values, "
+                       r"but its line declares shape \(-1, 23\)"):
+        load_net(path)
+
+
+BAD_NETS = {  # fields that make a net bad, and the refusal
+    "decay 1.5": (lambda net: {"decay": 1.5},
+                  r"decay must be in \[0, 1\), got 1\.5"),
+    "hidden size lies": (lambda net: {"hidden_size": 16},
+                         r"w1 has shape \(15, 23\), but the sizes imply "
+                         r"\(16, 23\)"),
+    "list weight": (lambda net: {"w1": net.w1.tolist()},
+                    "w1 is not a float64 array"),
+    "int weight": (lambda net: {"b1": net.b1.astype(int)},
+                   "b1 is not a float64 array"),
+    "NaN weight": (lambda net: {"b2": np.where(np.arange(19) == 3, np.nan,
+                                               net.b2)},
+                   "b2 holds a non-finite value"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NETS)
+def test_every_way_to_build_a_net_refuses_a_bad_one(case, tmp_path):
+    net = SequentialNet.new(seed=5)
+    change, message = BAD_NETS[case]
+    bad = change(net)
+    with pytest.raises(ValueError, match=message):
+        SequentialNet(**vars(net) | bad)
+    with pytest.raises(ValueError, match=message):
+        replace(net, **bad)
+    if "decay" in bad:
+        with pytest.raises(ValueError, match=message):
+            SequentialNet.new(decay=bad["decay"])
+    if case in ("list weight", "int weight"):
+        return  # a checkpoint's values always read back as float64 arrays
+    path = tmp_path / "bad.ckpt"
+    save_net(SimpleNamespace(**vars(net) | bad), path)
+    with pytest.raises(ValueError, match="bad.ckpt: " + message):
         load_net(path)
