@@ -26,7 +26,7 @@ from .negotiation import (
     negotiate,
     system_utility,
 )
-from .rules import DuetState, check_pair, legal_bits
+from .rules import DuetState, _rules_at, check_pair
 from .seqnet import (MAX_LENGTH, SequentialNet, _feedback_code, forward,
                      map_to_gamut, step_state)
 
@@ -126,51 +126,47 @@ def compose(net1: SequentialNet | None, net2: SequentialNet | None,
             agents.append([net, np.asarray(plan, dtype=float),
                            net.fresh_state()])
     # Only the coin toss draws from the generator, so a fixed weight skips
-    # building one, and with it the import of numpy.
-    coin_toss = cfg.weights.mode == "coin_toss"
-    if coin_toss:
+    # building one, and with it the import of numpy.  One call draws every
+    # bar's coin, with the same bits as one draw per bar.
+    if cfg.weights.mode == "coin_toss":
         from numpy.random import default_rng
-        rng = default_rng(cfg.seed)
+        coins = default_rng(cfg.seed).integers(2, size=cfg.length).tolist()
+        weights = [COIN_VALUES[c] for c in coins]  # a fair coin per bar
+    else:
+        weights = [cfg.weights.cm_weight] * cfg.length
     prevs: tuple[Pitch | None, ...] = (None, None)
+    act1 = act2 = _NO_OFFER
 
+    start = cfg.start_pair
     state = DuetState(length=cfg.length, finalis=cfg.finalis)
-    if cfg.start_pair is not None:
-        verdict = check_pair(state, cfg.start_pair)
+    if start is not None:
+        verdict = check_pair(state, start)
         if not verdict.legal:
-            a, b = cfg.start_pair
+            a, b = start
             raise ValueError(f"start pair {a}:{b} breaks {verdict}")
     trace: list[StepTrace] = []
     with quiet:
-        for t in range(cfg.length):
-            if coin_toss:
-                w = COIN_VALUES[int(rng.integers(2))]  # a fair coin
-            else:
-                w = cfg.weights.cm_weight
-
+        for t, w in enumerate(weights):
             if agents:
-                acts = [map_to_gamut(forward(net, plan, units), prev)
-                        for (net, plan, units), prev in zip(agents, prevs)]
-            else:
-                acts = (_NO_OFFER, _NO_OFFER)
+                act1, act2 = [map_to_gamut(forward(*agent), prev)
+                              for agent, prev in zip(agents, prevs)]
 
-            if t == 0 and cfg.start_pair is not None:
-                pair = cfg.start_pair
-                utility = system_utility(state, pair, acts[0], acts[1], w)
-            else:
-                outcome = negotiate(state, acts[0], acts[1], w)
+            if t or start is None:
+                outcome = negotiate(state, act1, act2, w)
                 if isinstance(outcome, DeadEnd):
-                    return CompositionResult(pairs=state.history,
-                                             trace=tuple(trace),
-                                             dead_end_step=t)
+                    return CompositionResult(state.history, tuple(trace), t)
                 pair, utility = outcome.pair, outcome.utility
+            else:
+                pair = start
+                utility = system_utility(state, pair, act1, act2, w)
 
-            trace.append(StepTrace(step=t, weight=w, pair=pair,
-                                   utility=utility,
-                                   legal_count=legal_bits(state).bit_count()))
+            trace.append(StepTrace(t, w, pair, utility,
+                                   _rules_at(state._key)[0].bit_count()))
             state = state.append(pair)
-            for agent, note, prev in zip(agents, pair, prevs):
-                agent[2] = step_state(agent[0], agent[2],
-                                      _feedback_code(note, prev))
-            prevs = pair
+            if agents:
+                for agent, note, prev in zip(agents, pair, prevs):
+                    agent[2] = step_state(agent[0], agent[2],
+                                          _feedback_code(note, prev))
+                prevs = pair
 
     return CompositionResult(pairs=state.history, trace=tuple(trace))

@@ -148,13 +148,14 @@ def _check_offer(values) -> None:
         raise ValueError("activations must be finite and non-negative")
 
 
-def _check_voices(voice1, voice2) -> None:
+def _check_voices(*voices) -> None:
     """Refuse voices that are not equal-length sequences of pitches."""
     try:
-        n1, n2 = len(voice1), len(voice2)
+        lengths = [len(voice) for voice in voices]
     except TypeError:
         raise ValueError("voices must be sequences of pitches") from None
-    if n1 != n2:
-        raise ValueError(f"voices differ in length: {n1} vs {n2}")
-    if not {*map(type, voice1), *map(type, voice2)} <= {Pitch}:
+    if len(set(lengths)) > 1:
+        raise ValueError("voices differ in length: "
+                         + " vs ".join(map(str, lengths)))
+    if not {type(p) for voice in voices for p in voice} <= {Pitch}:
         raise ValueError("voices must hold only gamut pitches")

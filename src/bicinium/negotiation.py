@@ -132,12 +132,11 @@ def negotiate(state: DuetState, act1, act2,
     wins ties.
     """
     _check_weight(cm_weight)
-    act1 = _as_activations(act1)
-    act2 = _as_activations(act2)
-    if act1 is _NO_OFFER is act2:
+    if act1 is _NO_OFFER is act2:  # the constant needs no check
         choice = _unoffered_choice(state._key, cm_weight)
     else:
-        choice = _choose(state._key, act1, act2, cm_weight)
+        choice = _choose(state._key, _as_activations(act1),
+                         _as_activations(act2), cm_weight)
     if choice is None:
         return DeadEnd(step=state.position)
     return choice

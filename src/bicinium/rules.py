@@ -105,14 +105,15 @@ class DuetState:
     def append(self, pair: NotePair) -> "DuetState":
         if self._key is None:
             raise ValueError("duet already complete")
-        # The constructor sets only length and finalis: fill every field.
-        nxt, put = object.__new__(DuetState), object.__setattr__
-        put(nxt, "length", self.length)
-        put(nxt, "history", self.history + (pair,))
-        put(nxt, "finalis", self.finalis)
-        put(nxt, "_key", _next_key(self._key, pair_bit(pair),
-                                   self.length - len(nxt.history),
-                                   self.finalis))
+        # The constructor sets only length and finalis: fill every slot.
+        nxt = object.__new__(DuetState)
+        history = self.history + (pair,)
+        _SET_LENGTH(nxt, self.length)
+        _SET_HISTORY(nxt, history)
+        _SET_FINALIS(nxt, self.finalis)
+        bit = pair[0].index * len(GAMUT) + pair[1].index  # pair_bit, inline
+        _SET_KEY(nxt, _next_key(self._key, bit, self.length - len(history),
+                                self.finalis))
         return nxt
 
     @classmethod
@@ -122,6 +123,11 @@ class DuetState:
         for pair in history:
             state = state.append(pair)
         return state
+
+
+# The slot setters, bound once: object.__setattr__ looks each name up first.
+_SET_LENGTH, _SET_HISTORY, _SET_FINALIS, _SET_KEY = (
+    DuetState.__dict__[name].__set__ for name in DuetState.__slots__)
 
 
 def pair_bit(pair: NotePair) -> int:
@@ -157,6 +163,9 @@ _FAMILY = {3: _mask(lambda p: interval_steps(*p) in THIRDS_FAMILY),   # 7
 _PERFECT = _mask(_perfect)                                             # 10
 _OFF_FINALIS = _mask(
     lambda p: not (p[0].degree == 0 and p[1].degree == 0))             # 11
+# (imperfect family or 0, perfect or 0) per bit, then the opening's bit -1.
+_CLASS = tuple((3 if _FAMILY[3] >> k & 1 else 6 if _FAMILY[6] >> k & 1 else 0,
+                _PERFECT >> k & 1) for k in range(len(_PAIRS))) + ((0, 0),)
 
 
 @cache
@@ -219,10 +228,9 @@ def _next_key(key: tuple, bit: int, bars_left: int, finalis: bool):
     if not bars_left:
         return None
     prev_bit, prev_fam, run, interior = key[:4]
-    placed = 1 << bit if bit >= 0 else 0  # no pair before the opening
-    fam = 3 if _FAMILY[3] & placed else 6 if _FAMILY[6] & placed else 0
+    fam, perfect = _CLASS[bit]
     run = fam and (min(run + 1, MAX_IMPERFECT_RUN) if fam == prev_fam else 1)
-    if _PERFECT & placed and prev_bit >= 0 and interior < MAX_INTERIOR_PERFECT:
+    if perfect and prev_bit >= 0 and interior < MAX_INTERIOR_PERFECT:
         interior += 1
     last = bars_left == 1
     return bit, fam, run, interior, last, finalis and last

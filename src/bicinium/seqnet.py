@@ -14,11 +14,13 @@ agents and the command line can import this module without loading numpy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
-from .gamut import GAMUT, Pitch, _check_count, _check_offer, interval_steps
+from .gamut import (GAMUT, Pitch, _check_count, _check_offer, _check_voices,
+                    interval_steps)
 
 __all__ = [
     "NOTE_CODE_SIZE",
@@ -163,7 +165,7 @@ def _shapes(plan_size: int, hidden_size: int, voices: int, decay: float):
     _check_count("plan_size", plan_size, 1)
     _check_count("hidden_size", hidden_size, 1, MAX_HIDDEN)
     _check_count("voices", voices, 1)
-    if not 0 <= decay < 1:
+    if not (isinstance(decay, numbers.Real) and 0 <= decay < 1):
         raise ValueError(f"decay must be in [0, 1), got {decay}")
     out = voices * NOTE_CODE_SIZE
     return {"w1": (hidden_size, plan_size + out), "b1": (hidden_size,),
@@ -243,6 +245,9 @@ def _teacher_samples(net: SequentialNet, corpus):
             raise ValueError("plan label holds a non-finite value")
         if len(voices) != net.voices:
             raise ValueError(f"net expects {net.voices} voice(s)")
+        _check_voices(*voices)
+        if not len(voices[0]):
+            raise ValueError("empty melody: its voices hold no notes")
         state = net.fresh_state()
         for t in range(len(voices[0])):
             code = np.concatenate(

@@ -241,6 +241,24 @@ def bar_weights(cfg, bars):
     return [COIN_VALUES[int(rng.integers(2))] for _ in range(bars)]
 
 
+@pytest.mark.parametrize("start", [CompositionConfig().start_pair, None],
+                         ids=["pinned", "open"])
+def test_coin_draw_equals_per_bar_draws(start):
+    # compose draws a run's coins in one call: every trace, complete or
+    # dead-ended, holds the weights of one integers(2) per bar
+    dead_ends = 0
+    for seed in range(200):
+        for length in range(2, 21):
+            cfg = CompositionConfig(length=length, seed=seed, agent_only=True,
+                                    start_pair=start,
+                                    weights=UtilityWeights(mode="coin_toss"))
+            result = compose(None, None, cfg)
+            weights = [step.weight for step in result.trace]
+            assert weights == bar_weights(cfg, len(weights)), (seed, length)
+            dead_ends += not result.complete
+    assert dead_ends
+
+
 def test_legality_cache_misses_once_per_key():
     # the candidate tables are cleared too: one left by an earlier test
     # would answer a dead-end bar without reading the rules

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from bicinium import composer
 from bicinium.composer import CompositionConfig, compose
 from bicinium.negotiation import COIN_VALUES, UtilityWeights
 from bicinium.gamut import GAMUT
@@ -224,3 +227,50 @@ def test_coin_toss_weights_fair_and_reproducible():
     assert set(sample) <= set(COIN_VALUES)
     freq = sample.count(1.49) / len(sample)
     assert 0.47 <= freq <= 0.53
+
+
+LAYERS = ("negotiate", "system_utility", "check_pair", "forward",
+          "map_to_gamut", "step_state")
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "coin_toss"])
+@pytest.mark.parametrize("agent_only", [True, False],
+                         ids=["agent-only", "two-net"])
+def test_compose_calls_every_layer_per_bar(monkeypatch, agent_only, mode):
+    # compose calls each layer by its module-level name, once per bar and
+    # agent, on complete and dead-ended runs alike: what a tracer that
+    # replaces those names sees
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in LAYERS:
+        monkeypatch.setattr(composer, name,
+                            counting(name, getattr(composer, name)))
+    monkeypatch.setattr(DuetState, "append",
+                        counting("append", DuetState.append))
+    nets = (None, None) if agent_only else (SequentialNet.new(seed=1),
+                                            SequentialNet.new(seed=2))
+    outcomes = set()
+    for start in (CompositionConfig().start_pair, None):
+        for length in range(2, 13):
+            cfg = CompositionConfig(length=length, start_pair=start,
+                                    agent_only=agent_only, seed=length,
+                                    weights=UtilityWeights(mode=mode))
+            calls.clear()
+            result = compose(*nets, cfg)
+            placed = len(result.trace)
+            tried = placed + (not result.complete)  # the dead-end bar too
+            pinned = start is not None
+            offers = 0 if agent_only else 2
+            assert calls == Counter({
+                "negotiate": tried - pinned, "system_utility": pinned,
+                "check_pair": pinned, "append": placed,
+                "forward": offers * tried, "map_to_gamut": offers * tried,
+                "step_state": offers * placed}) - Counter(), cfg
+            outcomes.add(result.complete)
+    assert outcomes == {True, False}

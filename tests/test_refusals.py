@@ -90,6 +90,26 @@ REFUSALS = {
         lambda: replace(SequentialNet.new(), w1=[[0.5] * 23] * 15),
         "w1 is not a float64 array"),
     "net NaN weight": (nan_weight_net, "b2 holds a non-finite value"),
+    "net new str decay": (lambda: SequentialNet.new(decay="x"),
+                          "decay must be in"),
+    "net new None decay": (lambda: SequentialNet.new(decay=None),
+                           "decay must be in"),
+    "net constructor complex decay": (
+        lambda: SequentialNet(**vars(SequentialNet.new()) | {"decay": 1j}),
+        "decay must be in"),
+    "net replace str decay": (lambda: replace(SequentialNet.new(),
+                                              decay="x"), "decay must be in"),
+    "train empty voice": (lambda: train(SequentialNet.new(), [(PLAN, ((),))],
+                                        1), "empty melody"),
+    "train bare pitch voice": (
+        lambda: train(SequentialNet.new(), [(PLAN, (RE8[0],))], 1),
+        "voices must be sequences of pitches"),
+    "train voice of names": (
+        lambda: train(SequentialNet.new(), [(PLAN, (("re8", "la"),))], 1),
+        "voices must hold only gamut pitches"),
+    "train voices of two lengths": (
+        lambda: train(SequentialNet.new(voices=2), [(PLAN, (RE8, RE8[:1]))],
+                      1), "voices differ in length: 2 vs 1"),
 }
 
 
