@@ -9,6 +9,7 @@ depend only on the duet, so identical duets give identical files.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from pathlib import Path
 
 from .gamut import _check_voices
@@ -22,14 +23,14 @@ _VELOCITY = 80
 _TEMPO_US = 1_000_000  # microseconds per quarter: 60 bpm
 
 
-def _vlq(value: int) -> bytes:
-    """Variable-length quantity encoding."""
-    chunks = [value & 0x7F]
-    value >>= 7
-    while value:
-        chunks.append(0x80 | (value & 0x7F))
-        value >>= 7
-    return bytes(reversed(chunks))
+@lru_cache(maxsize=16)  # the 13 gamut semitones, bounded all the same
+def _note_events(semitone: int) -> bytes:
+    """One whole note: delta 0, note on, delta 1920, note off."""
+    note = BASE_MIDI_NOTE + semitone
+    # 1920 ticks as a variable-length quantity: two 7-bit groups, 0x8F 0x00
+    return bytes((0, 0x90, note, _VELOCITY,
+                  0x80 | WHOLE_NOTE_TICKS >> 7, WHOLE_NOTE_TICKS & 0x7F,
+                  0x80, note, 0))
 
 
 def _track(events: bytes) -> bytes:
@@ -38,14 +39,9 @@ def _track(events: bytes) -> bytes:
 
 
 def _voice_events(voice, tempo_us: int | None) -> bytes:
-    events = b""
-    if tempo_us is not None:
-        events += b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us)[1:]
-    for pitch in voice:
-        note = BASE_MIDI_NOTE + pitch.semitone
-        events += _vlq(0) + bytes((0x90, note, _VELOCITY))
-        events += _vlq(WHOLE_NOTE_TICKS) + bytes((0x80, note, 0))
-    return events
+    tempo = (b"" if tempo_us is None
+             else b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us)[1:])
+    return tempo + b"".join([_note_events(pitch.semitone) for pitch in voice])
 
 
 def duet_to_midi_bytes(voice1, voice2) -> bytes:

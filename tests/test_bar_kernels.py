@@ -259,6 +259,24 @@ def test_coin_draw_equals_per_bar_draws(start):
     assert dead_ends
 
 
+@pytest.mark.parametrize("finalis", [True, False], ids=["finalis", "open_end"])
+@pytest.mark.parametrize("start", [CompositionConfig().start_pair, None],
+                         ids=["pinned", "open"])
+def test_coin_draw_beyond_twenty_bars(start, finalis):
+    # two coins per raw 64-bit word: an odd length cuts the last word's
+    # second coin, and without the finalis every run places every bar, so
+    # the last coin of each length is compared too
+    for seed in range(20):
+        for length in [*range(21, 42), 999, 1000]:
+            cfg = CompositionConfig(length=length, seed=seed, agent_only=True,
+                                    start_pair=start, finalis=finalis,
+                                    weights=UtilityWeights(mode="coin_toss"))
+            result = compose(None, None, cfg)
+            weights = [step.weight for step in result.trace]
+            assert weights == bar_weights(cfg, len(weights)), (seed, length)
+            assert finalis or len(weights) == length
+
+
 def test_legality_cache_misses_once_per_key():
     # the candidate tables are cleared too: one left by an earlier test
     # would answer a dead-end bar without reading the rules

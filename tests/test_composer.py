@@ -1,10 +1,11 @@
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from bicinium import composer
-from bicinium.composer import CompositionConfig, compose
+from bicinium.composer import CompositionConfig, StepTrace, compose
 from bicinium.negotiation import COIN_VALUES, UtilityWeights
 from bicinium.gamut import GAMUT
 from bicinium.rules import DuetState, check_pair, validate_duet
@@ -69,6 +70,43 @@ def test_compose_trace_fields():
     assert all(s.weight == 1.0 for s in result.trace)
     assert all(s.legal_count > 0 for s in result.trace)
     assert all(s.utility >= 0 for s in result.trace)
+
+
+def test_step_trace_is_a_named_tuple_row(p):
+    pair = (p("re8"), p("la"))
+    row = StepTrace(3, 1.49, pair, 2.5, 41)
+    assert StepTrace._fields == ("step", "weight", "pair", "utility",
+                                 "legal_count")
+    assert (row.step, row.weight, row.pair, row.utility,
+            row.legal_count) == (3, 1.49, pair, 2.5, 41)
+    with pytest.raises(AttributeError):
+        row.step = 4
+    twin = StepTrace(3, 1.49, (p("re8"), p("la")), 2.5, 41)
+    assert twin == row and hash(twin) == hash(row)
+    assert row != StepTrace(3, 1.49, pair, 2.5, 40)
+    # a row is a tuple: it unpacks and equals the plain tuple of its values
+    step, *_, legal_count = row
+    assert (step, legal_count, row[2]) == (3, 41, pair)
+    assert row == (3, 1.49, pair, 2.5, 41) and hash(row) == hash(tuple(row))
+    assert repr(row) == (
+        "StepTrace(step=3, weight=1.49, pair=(Pitch(index=7, name='re8', "
+        "semitone=12), Pitch(index=4, name='la', semitone=7)), utility=2.5, "
+        "legal_count=41)")
+    copy = pickle.loads(pickle.dumps(row))
+    assert type(copy) is StepTrace and copy == row
+
+
+def test_every_trace_row_is_a_step_trace():
+    net1, net2 = SequentialNet.new(seed=1), SequentialNet.new(seed=2)
+    runs = [compose(None, None, agent_only_cfg(length=length, seed=seed,
+                                               start_pair=None,
+                                               weights=UtilityWeights(
+                                                   mode="coin_toss")))
+            for length in (2, 8, 20) for seed in range(5)]
+    runs.append(compose(net1, net2, CompositionConfig(length=12)))
+    assert any(not r.complete for r in runs) and any(r.complete for r in runs)
+    for result in runs:
+        assert result.trace and all(type(s) is StepTrace for s in result.trace)
 
 
 def test_compose_dead_end_is_data(p):

@@ -15,6 +15,8 @@ from bicinium.gamut import (
     signed_interval,
 )
 
+import scalar_rules
+
 gamut_pitch = st.sampled_from(GAMUT)
 
 
@@ -95,3 +97,16 @@ def test_motion_cases_are_exhaustive(a1, a2, b1, b2):
         assert m is Motion.SIMILAR
     else:
         assert m is Motion.CONTRARY
+
+
+def test_scalar_oracle_helpers_agree_with_gamut():
+    # the rule oracle's own interval helpers, one pair and one motion at a
+    # time: all 169 pairs and all 169 x 169 consecutive pairs
+    pairs = list(itertools.product(GAMUT, repeat=2))
+    assert list(scalar_rules.SEMITONES) == [p.semitone for p in GAMUT]
+    for a, b in pairs:
+        assert scalar_rules.steps_between(a, b) == interval_steps(a, b)
+        assert scalar_rules.signed_steps((a, b)) == signed_interval((a, b))
+        assert scalar_rules.consonance(a, b) == interval_quality(a, b).value
+    for prev, cur in itertools.product(pairs, repeat=2):
+        assert scalar_rules.motion(prev, cur) == motion(prev, cur).value

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import struct
 import warnings
 from importlib import resources
@@ -14,6 +15,7 @@ from bicinium.corpus import (
     parse_duet_text,
     render_text,
 )
+from bicinium.gamut import GAMUT
 from bicinium.midi import duet_to_midi_bytes, write_midi
 from bicinium.seqnet import (MAX_EPOCHS, MAX_HIDDEN, SequentialNet,
                              generate, save_net)
@@ -177,6 +179,42 @@ def test_midi_eight_pair_duet():
     # round-trip: pitches survive through an independent reader
     assert tracks[0][0] == [62 + p.semitone for p in v1]
     assert tracks[1][0] == [62 + p.semitone for p in v2]
+
+
+def smf_encode(voice1, voice2) -> bytes:
+    """A format-1 file written field by field from the SMF layout: 480
+    ticks per quarter, a 60 bpm tempo meta event opening the first track,
+    and per pitch a delta-0 note-on and a note-off one whole note later."""
+    def varlen(value):
+        groups = [value & 0x7F]
+        while value > 0x7F:
+            value >>= 7
+            groups.insert(0, 0x80 | value & 0x7F)
+        return bytes(groups)
+
+    def track(voice, tempo):
+        body = bytearray()
+        if tempo:  # 1,000,000 microseconds per quarter
+            body += varlen(0) + bytes([0xFF, 0x51, 3, 0x0F, 0x42, 0x40])
+        for pitch in voice:
+            key = 62 + pitch.semitone
+            body += varlen(0) + bytes([0x90, key, 80])
+            body += varlen(4 * 480) + bytes([0x80, key, 0])
+        body += varlen(0) + bytes([0xFF, 0x2F, 0])
+        return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
+
+    header = (b"MThd" + (6).to_bytes(4, "big") + (1).to_bytes(2, "big")
+              + (2).to_bytes(2, "big") + (480).to_bytes(2, "big"))
+    return header + track(voice1, True) + track(voice2, False)
+
+
+def test_midi_bytes_match_an_independent_encoder():
+    rng = random.Random(1920)
+    for length in range(1, 31):
+        for _ in range(20):
+            v1, v2 = ([rng.choice(GAMUT) for _ in range(length)]
+                      for _ in range(2))
+            assert duet_to_midi_bytes(v1, v2) == smf_encode(v1, v2), length
 
 
 def test_midi_bytes_deterministic(tmp_path):
